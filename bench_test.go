@@ -287,41 +287,41 @@ func BenchmarkB6Network(b *testing.B) {
 		name    string
 		latency time.Duration
 	}{{"latency=0", 0}, {"latency=1ms", time.Millisecond}} {
-		sys := core.Example1System()
 		tr := peernet.NewInProc()
 		tr.Latency = cfg.latency
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			if err := n.Start(":0"); err != nil {
-				b.Fatal(err)
-			}
-			defer n.Stop()
-			nodes[id] = n
+		p1 := deployB6(b, tr, 0, 0)
+		b.Run(cfg.name, func(b *testing.B) { runB6(b, p1) })
+	}
+}
+
+// deployB6 deploys Example 1 on tr and returns the P1 node with the
+// given fan-out parallelism and cache TTL.
+func deployB6(b *testing.B, tr peernet.Transport, parallelism int, ttl time.Duration) *peernet.Node {
+	nodes, stop, err := peernet.Deploy(core.Example1System(), tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(stop)
+	p1 := nodes["P1"]
+	p1.Parallelism = parallelism
+	p1.CacheTTL = ttl
+	return p1
+}
+
+// runB6 answers r1(X,Y) at P1 b.N times.
+func runB6(b *testing.B, p1 *peernet.Node) {
+	q := foquery.MustParse("r1(X,Y)")
+	for i := 0; i < b.N; i++ {
+		ans, err := p1.AnswerQuery(q, []string{"X", "Y"}, peernet.QueryOptions{})
+		if err != nil || len(ans) != 3 {
+			b.Fatalf("%v %v", ans, err)
 		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, err := nodes["P1"].PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-				if err != nil || len(ans) != 3 {
-					b.Fatalf("%v %v", ans, err)
-				}
-			}
-		})
 	}
 }
 
 // BenchmarkB6NetworkParallel is the parallel variant of B6: networked
 // PCA at 1ms link latency with sequential fan-out, 4-way concurrent
-// fan-out, and a warm TTL snapshot cache. The fan-out win is
+// fan-out, and warm TTL spec/relation caches. The fan-out win is
 // latency-bound, so it shows even on a single core.
 func BenchmarkB6NetworkParallel(b *testing.B) {
 	for _, cfg := range []struct {
@@ -333,37 +333,10 @@ func BenchmarkB6NetworkParallel(b *testing.B) {
 		{"fanout=par4", 4, 0},
 		{"cache=warm", 1, time.Hour},
 	} {
-		sys := core.Example1System()
 		tr := peernet.NewInProc()
 		tr.Latency = time.Millisecond
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			n.Parallelism = cfg.parallelism
-			n.CacheTTL = cfg.cacheTTL
-			if err := n.Start(":0"); err != nil {
-				b.Fatal(err)
-			}
-			defer n.Stop()
-			nodes[id] = n
-		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, err := nodes["P1"].PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-				if err != nil || len(ans) != 3 {
-					b.Fatalf("%v %v", ans, err)
-				}
-			}
-		})
+		p1 := deployB6(b, tr, cfg.parallelism, cfg.cacheTTL)
+		b.Run(cfg.name, func(b *testing.B) { runB6(b, p1) })
 	}
 }
 

@@ -22,32 +22,12 @@ type churnDeployment struct {
 }
 
 func newChurnDeployment(k, clean int, seed int64, noIncremental bool) (*churnDeployment, error) {
-	sys := workload.ChurnUniverse(k, clean, seed)
-	ip := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	var started []*peernet.Node
-	stop := func() {
-		for _, n := range started {
-			n.Stop()
-		}
-	}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		if err := n.Start(":0"); err != nil {
-			stop()
-			return nil, err
-		}
-		started = append(started, n)
-		nodes[id] = n
+	nodes, stop, err := peernet.Deploy(workload.ChurnUniverse(k, clean, seed), peernet.NewInProc())
+	if err != nil {
+		return nil, err
 	}
 	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
+		n.Parallelism = benchParallelism
 	}
 	root := nodes["A"]
 	root.CacheTTL = time.Hour
@@ -149,7 +129,8 @@ func runB14(w io.Writer) error {
 				}
 			}
 		}
-		patched, seeded, fallbacks := incr.root.IncrStats()
+		st := incr.root.Stats()
+		patched, seeded, fallbacks := st.IncrPatched, st.IncrSeeded, st.IncrFallbacks
 		incr.stop()
 		full.stop()
 		if err != nil {

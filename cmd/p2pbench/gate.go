@@ -269,29 +269,19 @@ func runGateMeasure(par int) (*gateResult, error) {
 	// delay). The overlay is deployed once; the measured path includes
 	// the delegates serving their (slice-keyed, warm after the first
 	// round) answer caches, matching a long-lived node's steady state.
-	s11 := workload.DelegationFanout(3, 20, 4, 40, 1)
-	ip11 := peernet.NewInProc()
-	nodes11 := map[core.PeerID]*peernet.Node{}
-	for _, id := range s11.Peers() {
-		p, _ := s11.Peer(id)
-		n := peernet.NewNode(p, ip11, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			return nil, err
-		}
-		defer n.Stop()
-		nodes11[id] = n
+	nodes11, stop11, err := peernet.Deploy(workload.DelegationFanout(3, 20, 4, 40, 1), peernet.NewInProc())
+	if err != nil {
+		return nil, err
 	}
+	defer stop11()
 	for _, n := range nodes11 {
-		for _, m := range nodes11 {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
+		n.Parallelism = par
 	}
 	q11 := foquery.MustParse("r0(X,Y)")
 	b11, b11Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
-		_, info, e := nodes11["P0"].DelegatedAnswersInfo(q11, []string{"X", "Y"}, true)
+		var info peernet.DelegationInfo
+		_, e := nodes11["P0"].AnswerQuery(q11, []string{"X", "Y"},
+			peernet.QueryOptions{Transitive: true, Delegate: true, Delegation: &info})
 		if e == nil && !info.Delegated {
 			return fmt.Errorf("B11 gate workload should delegate, fell back: %s", info.Reason)
 		}
@@ -327,25 +317,13 @@ func runGateMeasure(par int) (*gateResult, error) {
 	// same facts on every replay (idempotent keys), so after the first
 	// pass the fingerprints are stable and the minimum block measures
 	// the warm steady state.
-	s13 := workload.WideUniverse(4, 2, 12, 1, 1)
-	ip13 := peernet.NewInProc()
-	nodes13 := map[core.PeerID]*peernet.Node{}
-	for _, id := range s13.Peers() {
-		p, _ := s13.Peer(id)
-		n := peernet.NewNode(p, ip13, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			return nil, err
-		}
-		defer n.Stop()
-		nodes13[id] = n
+	nodes13, stop13, err := peernet.Deploy(workload.WideUniverse(4, 2, 12, 1, 1), peernet.NewInProc())
+	if err != nil {
+		return nil, err
 	}
+	defer stop13()
 	for _, n := range nodes13 {
-		for _, m := range nodes13 {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
+		n.Parallelism = par
 	}
 	nodes13["P0"].CacheTTL = time.Hour
 	srv13 := serve.New(nodes13["P0"], serve.Config{MaxConcurrent: 1, QueryParallelism: par})
@@ -425,8 +403,8 @@ func runGateMeasure(par int) (*gateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if patched, seeded, fallbacks := d14.root.IncrStats(); patched == 0 {
-		return nil, fmt.Errorf("B14 gate loop never patched (seeded=%d fallbacks=%d) — measuring the wrong path", seeded, fallbacks)
+	if st := d14.root.Stats(); st.IncrPatched == 0 {
+		return nil, fmt.Errorf("B14 gate loop never patched (seeded=%d fallbacks=%d) — measuring the wrong path", st.IncrSeeded, st.IncrFallbacks)
 	}
 
 	return &gateResult{

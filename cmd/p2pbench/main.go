@@ -46,7 +46,7 @@ var experiments = []experiment{
 	{"B6", "Networked PCA: transport and latency sweep", runB6},
 	{"B7", "Choice keys: shared vs independent witness choices", runB7},
 	{"B8", "Solver ablation: support propagation on/off", runB8},
-	{"B9", "Wide universe: query-relevance slicing vs full snapshots", runB9},
+	{"B9", "Wide universe: query-relevance slicing vs the unsliced reference", runB9},
 	{"B10", "Scattered conflicts: conflict-localized vs global repair", runB10},
 	{"B11", "Delegation fanout: central pull vs delegated peer answering", runB11},
 	{"B12", "Large universe: columnar memory plane, repair+answer allocs", runB12},

@@ -261,9 +261,9 @@ func runB5(w io.Writer) error {
 	return nil
 }
 
-// runB6 measures networked PCA over transports and latencies, plus the
-// concurrent neighbour fan-out (par) and the TTL snapshot cache
-// (cached) introduced for the parallel engine.
+// runB6 measures networked PCA (Node.AnswerQuery) over transports and
+// latencies, plus the concurrent neighbour fan-out (par) and the TTL
+// spec/relation caches (cached).
 func runB6(w io.Writer) error {
 	fmt.Fprintf(w, "%-20s %-14s\n", "transport", "pca-time")
 	for _, cfg := range []struct {
@@ -281,7 +281,6 @@ func runB6(w io.Writer) error {
 		{"inproc(5ms,par)", 5 * time.Millisecond, false, benchParallelism, 0},
 		{"tcp(loopback)", 0, true, 1, 0},
 	} {
-		sys := core.Example1System()
 		var tr peernet.Transport
 		if cfg.tcp {
 			tr = &peernet.TCP{}
@@ -290,35 +289,25 @@ func runB6(w io.Writer) error {
 			ip.Latency = cfg.latency
 			tr = ip
 		}
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			n.Parallelism = cfg.parallelism
-			n.CacheTTL = cfg.cacheTTL
-			if err := n.Start(":0"); err != nil {
-				return err
-			}
-			defer n.Stop()
-			nodes[id] = n
+		nodes, stop, err := peernet.Deploy(core.Example1System(), tr)
+		if err != nil {
+			return err
 		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
+		defer stop()
+		p1 := nodes["P1"]
+		p1.Parallelism = cfg.parallelism
+		p1.CacheTTL = cfg.cacheTTL
+		q := foquery.MustParse("r1(X,Y)")
 		if cfg.cacheTTL > 0 {
-			// Warm the snapshot cache; the timed run measures a hit.
-			if _, err := nodes["P1"].Snapshot(false); err != nil {
+			// Warm the caches; the timed run measures a hit.
+			if _, err := p1.AnswerQuery(q, []string{"X", "Y"}, peernet.QueryOptions{}); err != nil {
 				return err
 			}
 		}
 		var got []relation.Tuple
 		d, err := timed(func() error {
 			var e error
-			got, e = nodes["P1"].PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
+			got, e = p1.AnswerQuery(q, []string{"X", "Y"}, peernet.QueryOptions{})
 			return e
 		})
 		if err != nil {
@@ -329,8 +318,9 @@ func runB6(w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-20s %-14v\n", cfg.name, d)
 	}
-	fmt.Fprintf(w, "expected shape: per-neighbour fetch cost = 1 export round trip,\n")
-	fmt.Fprintf(w, "overlapped across neighbours by par and amortized to ~0 by cached.\n")
+	fmt.Fprintf(w, "expected shape: per-neighbour fetch cost = 2 round trips (spec export,\n")
+	fmt.Fprintf(w, "then one batched data fetch), overlapped across neighbours by par and\n")
+	fmt.Fprintf(w, "amortized to ~0 by cached.\n")
 	return nil
 }
 
@@ -411,40 +401,29 @@ func runB8(w io.Writer) error {
 	return nil
 }
 
-// runB9 measures the wide-universe workload (ISSUE 4): a tiny
-// query-relevant core inside a wide overlay of bystander peers. The
-// full pipeline snapshots every peer's every relation; the sliced
-// pipeline (Node.SnapshotFor / PeerConsistentAnswersFor) plans a
-// relevance slice over cheap spec exports, moves only the relations in
-// the slice, and serves repeat queries from the slice-keyed answer
-// cache — which survives updates to irrelevant relations.
+// runB9 measures the wide-universe workload: a tiny query-relevant core
+// inside a wide overlay of bystander peers. The unsliced reference
+// solves over every peer's every relation in memory; the networked
+// node (Node.SnapshotFor / AnswerQuery) plans a relevance slice over
+// cheap spec exports, moves only the relations in the slice, and
+// serves repeat queries from the slice-keyed answer cache — which
+// survives updates to irrelevant relations.
 func runB9(w io.Writer) error {
 	const width, relsPer, facts, conflicts = 8, 3, 40, 2
 	sys := workload.WideUniverse(width, relsPer, facts, conflicts, 1)
 	ip := peernet.NewInProc()
 	ip.Latency = 200 * time.Microsecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		n.CacheTTL = time.Minute
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[id] = n
+	nodes, stop, err := peernet.Deploy(sys, ip)
+	if err != nil {
+		return err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	defer stop()
 	root := nodes["P0"]
+	root.Parallelism = benchParallelism
+	root.CacheTTL = time.Minute
 	q := foquery.MustParse("q0(X,Y)")
 	vars := []string{"X", "Y"}
+	ask := func() ([]relation.Tuple, error) { return root.AnswerQuery(q, vars, peernet.QueryOptions{}) }
 
 	totalRemote := 0
 	for _, id := range sys.Peers() {
@@ -465,7 +444,7 @@ func runB9(w io.Writer) error {
 	var full []relation.Tuple
 	dFull, err := timed(func() error {
 		var e error
-		full, e = root.PeerConsistentAnswers(q, vars, false)
+		full, e = core.PeerConsistentAnswers(sys, "P0", q, vars, core.SolveOptions{Parallelism: benchParallelism})
 		return e
 	})
 	if err != nil {
@@ -474,7 +453,7 @@ func runB9(w io.Writer) error {
 	var slicedAns []relation.Tuple
 	dSliced, err := timed(func() error {
 		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
+		slicedAns, e = ask()
 		return e
 	})
 	if err != nil {
@@ -485,7 +464,7 @@ func runB9(w io.Writer) error {
 	}
 	dRepeat, err := timed(func() error {
 		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
+		slicedAns, e = ask()
 		return e
 	})
 	if err != nil {
@@ -498,7 +477,7 @@ func runB9(w io.Writer) error {
 	bp.Fact(fmt.Sprintf("b%d_r%d", width-1, relsPer-1), "late_key", "late_val")
 	dAfterUpd, err := timed(func() error {
 		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
+		slicedAns, e = ask()
 		return e
 	})
 	if err != nil {
@@ -507,19 +486,21 @@ func runB9(w io.Writer) error {
 	if !reflect.DeepEqual(slicedAns, full) {
 		return fmt.Errorf("sliced answers diverge after irrelevant update: %v vs %v", slicedAns, full)
 	}
-	hits, misses := root.AnswerCacheStats()
+	st := root.Stats()
+	hits, misses := st.AnswerCacheHits, st.AnswerCacheMisses
 	if hits < 2 {
 		return fmt.Errorf("answer cache hits=%d misses=%d; repeat and post-irrelevant-update queries should hit", hits, misses)
 	}
 
 	fmt.Fprintf(w, "%-22s %-14s %s\n", "mode", "pca-time", "remote relations moved")
-	fmt.Fprintf(w, "%-22s %-14v %d\n", "full snapshot", dFull, totalRemote)
+	fmt.Fprintf(w, "%-22s %-14v 0 of %d (in memory, no network)\n", "unsliced reference", dFull, totalRemote)
 	fmt.Fprintf(w, "%-22s %-14v %d\n", "sliced (cold)", dSliced, sl.RemoteRelCount())
 	fmt.Fprintf(w, "%-22s %-14v 0 (answer-cache hit)\n", "sliced (repeat)", dRepeat)
 	fmt.Fprintf(w, "%-22s %-14v 0 (cache survives irrelevant update)\n", "sliced (after update)", dAfterUpd)
 	fmt.Fprintf(w, "answer cache: hits=%d misses=%d; slice kept %d/%d constraints\n", hits, misses, sl.KeptDeps, sl.TotalDeps)
 	fmt.Fprintf(w, "expected shape: sliced moves %d of %d remote relations and skips the\n", sl.RemoteRelCount(), totalRemote)
-	fmt.Fprintf(w, "bystander repair search; repeats are cache hits with zero re-grounding.\n")
+	fmt.Fprintf(w, "bystander repair search that the in-memory unsliced reference pays;\n")
+	fmt.Fprintf(w, "repeats are cache hits with zero re-grounding.\n")
 	return nil
 }
 
@@ -649,34 +630,29 @@ func runB11(w io.Writer) error {
 	} {
 		sys := workload.DelegationFanout(hubs, rows, flagged, noise, 1)
 		shared := tc.mk()
-		nodes := map[core.PeerID]*peernet.Node{}
-		meters := map[core.PeerID]*peernet.Meter{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			m := &peernet.Meter{T: shared}
-			meters[id] = m
-			n := peernet.NewNode(p, m, nil)
+		nodes, stop, err := peernet.Deploy(sys, shared)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		// The querying peer asks through a client node of its own whose
+		// calls go through the meter, so only its traffic is counted.
+		meter := &peernet.Meter{T: shared}
+		addrs := map[core.PeerID]string{}
+		for id, n := range nodes {
 			n.Parallelism = benchParallelism
-			if err := n.Start(":0"); err != nil {
-				return err
-			}
-			defer n.Stop()
-			nodes[id] = n
-		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-				}
+			if id != "P0" {
+				addrs[id] = n.BoundAddr()
 			}
 		}
-		root, meter := nodes["P0"], meters["P0"]
+		root := peernet.NewNode(nodes["P0"].Peer, meter, addrs)
+		root.Parallelism = benchParallelism
 
 		var central []relation.Tuple
 		meter.Reset()
 		dCentral, err := timed(func() error {
 			var e error
-			central, e = root.PeerConsistentAnswersFor(q, vars, true)
+			central, e = root.AnswerQuery(q, vars, peernet.QueryOptions{Transitive: true})
 			return e
 		})
 		if err != nil {
@@ -689,7 +665,7 @@ func runB11(w io.Writer) error {
 		meter.Reset()
 		dDeleg, err := timed(func() error {
 			var e error
-			deleg, info, e = root.DelegatedAnswersInfo(q, vars, true)
+			deleg, e = root.AnswerQuery(q, vars, peernet.QueryOptions{Transitive: true, Delegate: true, Delegation: &info})
 			return e
 		})
 		if err != nil {

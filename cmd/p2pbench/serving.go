@@ -21,33 +21,22 @@ import (
 // read/write stream from concurrent clients. Three properties are
 // checked while measuring: a write is visible to the very next query
 // (no TTL staleness window on the served peer), the served answers are
-// byte-identical to a one-shot uncached node, and in-flight coalescing
-// measurably reduces solver invocations against an uncoalesced burst.
+// byte-identical to the engines over the in-memory system, and
+// in-flight coalescing measurably reduces solver invocations against
+// an uncoalesced burst.
 func runB13(w io.Writer) error {
 	const width, relsPer, facts, conflicts = 6, 2, 16, 1
 	const clients, streamOps, writeEvery = 4, 400, 8
 	sys := workload.WideUniverse(width, relsPer, facts, conflicts, 1)
 	ip := peernet.NewInProc()
 	ip.Latency = 100 * time.Microsecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[id] = n
+	nodes, stop, err := peernet.Deploy(sys, ip)
+	if err != nil {
+		return err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	defer stop()
 	root := nodes["P0"]
+	root.Parallelism = benchParallelism
 	root.CacheTTL = time.Minute
 	srv := serve.New(root, serve.Config{MaxConcurrent: clients, MaxQueue: 4 * clients})
 	vars := []string{"X", "Y"}
@@ -136,30 +125,18 @@ func runB13(w io.Writer) error {
 	reg := srv.Registry()
 	queries := reg.Counter("serve_queries_total").Value()
 	lat := reg.Histogram("serve_query_latency")
-	hits, misses := root.AnswerCacheStats()
-	leaders, coalesced := root.CoalesceStats()
+	st := root.Stats()
 	fmt.Fprintf(w, "stream: %d ops (%d queries, %d writes) over %d clients in %v\n",
 		len(stream), queries-2, srv.Registry().Counter("serve_writes_total").Value(), clients, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "stream: qps=%.0f p50=%v p99=%v shed=%d\n",
 		float64(queries)/elapsed.Seconds(), lat.Quantile(0.50).Round(time.Microsecond),
 		lat.Quantile(0.99).Round(time.Microsecond), reg.Counter("serve_shed_total").Value())
-	fmt.Fprintf(w, "stream: answer cache hits=%d misses=%d; coalesce leaders=%d coalesced=%d; solver runs=%d\n",
-		hits, misses, leaders, coalesced, root.SolverRuns())
+	fmt.Fprintf(w, "stream: answer cache hits=%d misses=%d patched=%d; coalesce leaders=%d coalesced=%d; solver runs=%d\n",
+		st.AnswerCacheHits, st.AnswerCacheMisses, st.IncrPatched, st.CoalesceLeaders, st.Coalesced, st.SolverRuns)
 
 	// Byte-identity: on the quiesced system every stream query answered
-	// by the server must equal a fresh uncached node's one-shot answer.
-	freshPeer := root.Peer
-	fresh := peernet.NewNode(freshPeer, ip, nil)
-	if err := fresh.Start(":0"); err != nil {
-		return err
-	}
-	defer fresh.Stop()
-	for _, m := range nodes {
-		if m != root {
-			fresh.SetNeighbor(m.Peer.ID, m.Addr)
-		}
-	}
-	fresh.Parallelism = benchParallelism
+	// by the server must equal the engines' answer over the in-memory
+	// system (no network, slicing or cache).
 	for text, f := range parsed {
 		var qvars []string
 		for _, op := range stream {
@@ -172,15 +149,15 @@ func runB13(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		oneShot, err := fresh.PeerConsistentAnswersFor(f, qvars, false)
+		want, err := core.PeerConsistentAnswers(sys, root.Peer.ID, f, qvars, core.SolveOptions{Parallelism: benchParallelism})
 		if err != nil {
 			return err
 		}
-		if !reflect.DeepEqual(served, oneShot) {
-			return fmt.Errorf("byte-identity: served %s = %v, one-shot = %v", text, served, oneShot)
+		if !reflect.DeepEqual(served, want) {
+			return fmt.Errorf("byte-identity: served %s = %v, in-memory = %v", text, served, want)
 		}
 	}
-	fmt.Fprintf(w, "identity: %d query shapes byte-identical to one-shot uncached answering\n", len(parsed))
+	fmt.Fprintf(w, "identity: %d query shapes byte-identical to the in-memory engines\n", len(parsed))
 
 	// Coalescing A/B: a burst of identical queries against a cold key.
 	// With coalescing the burst needs ~1 solver run; without it every
@@ -208,7 +185,7 @@ func runB13(w io.Writer) error {
 		if err := srv.Write("q0", []string{"ab_" + tag, "v"}); err != nil {
 			return 0, err
 		}
-		runsBefore := root.SolverRuns()
+		runsBefore := root.Stats().SolverRuns
 		gate := make(chan struct{})
 		var bwg sync.WaitGroup
 		berrs := make(chan error, burst)
@@ -229,7 +206,7 @@ func runB13(w io.Writer) error {
 			return 0, err
 		default:
 		}
-		return root.SolverRuns() - runsBefore, nil
+		return root.Stats().SolverRuns - runsBefore, nil
 	}
 	var runsOn, runsOff int64
 	for attempt := 0; attempt < 3; attempt++ {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -31,6 +30,7 @@ import (
 	"repro/internal/peernet"
 	"repro/internal/program"
 	"repro/internal/relation"
+	"repro/internal/repair"
 	"repro/internal/rewrite"
 	"repro/internal/slice"
 	"repro/internal/sysdsl"
@@ -55,12 +55,12 @@ func run(args []string, out io.Writer) error {
 	solutions := fs.Bool("solutions", false, "print the peer's solutions instead of answering a query")
 	showProgram := fs.Bool("program", false, "print the specification program instead of solving (lp/lav engines)")
 	par := fs.Int("parallelism", 0, "worker-pool bound for the repair search and fan-out, grounding, per-solution query evaluation and stable-model search; 0 = GOMAXPROCS for the repair engine with sequential grounder/solver, 1 = fully sequential, >1 also fans out grounding and the solver search")
-	stats := fs.Bool("stats", false, "print system statistics (peers, tuples, interned symbols) after loading; with -query, also the query-relevance slice statistics (relations/constraints kept vs dropped, answer cache hits/misses)")
-	sliced := fs.Bool("sliced", false, "answer through the query-relevance-sliced pipeline (repair and lp engines): only slice constraints are enforced, only slice relations repaired/grounded, answers cached per slice+data key; answers are identical to the unsliced run")
+	stats := fs.Bool("stats", false, "print system statistics (peers, tuples, interned symbols) after loading; with -query, also the query-relevance slice statistics (relations/constraints kept vs dropped)")
+	sliced := fs.Bool("sliced", false, "answer through the query-relevance-sliced pipeline (repair and lp engines): only slice constraints are enforced, only slice relations repaired/grounded; answers are identical to the unsliced run")
 	delegate := fs.Bool("delegate", false, "answer through delegated distributed execution: deploy every peer as an in-process node, decompose the query's relevance slice per owning peer and let each repairing neighbour answer its sub-queries itself over OpPCA, composing at the queried node (falls back to the centralized sliced path whenever delegation is not provably exact; answers are identical either way); with -stats, the delegation report is printed")
 	serveMode := fs.Bool("serve", false, "run as a long-lived query server: deploy every peer as an in-process node and serve -peer's peer-consistent answers over HTTP (/query, /write, /metrics, /healthz) until SIGINT/SIGTERM; with -stats, the final metrics are printed on shutdown")
 	httpAddr := fs.String("http", "127.0.0.1:0", "HTTP listen address for -serve")
-	cacheTTL := fs.Duration("cache-ttl", time.Second, "TTL of the serving node's snapshot/spec/relation caches (-serve); local writes invalidate immediately, remote data may be up to this stale")
+	cacheTTL := fs.Duration("cache-ttl", time.Second, "TTL of the serving node's spec/relation caches (-serve); local writes are visible immediately, remote data may be up to this stale")
 	maxConcurrent := fs.Int("max-concurrent", 0, "queries admitted at once in -serve; 0 = GOMAXPROCS")
 	maxQueue := fs.Int("max-queue", 0, "queries queued for admission in -serve before shedding; 0 = 4x max-concurrent")
 	if err := fs.Parse(args); err != nil {
@@ -181,7 +181,6 @@ func run(args []string, out io.Writer) error {
 	// Query-relevance slicing: compute the slice when the sliced
 	// pipeline is requested, or when -stats wants its statistics.
 	var sl *slice.Slice
-	var cache *slice.AnswerCache
 	if (*sliced || *stats) && (*engine == "repair" || *engine == "lp") {
 		f, perr := foquery.Parse(*query)
 		if perr != nil {
@@ -196,7 +195,6 @@ func run(args []string, out io.Writer) error {
 	runOpt := program.RunOptions{Transitive: *transitive, Parallelism: *par}
 	var pruneStats ground.PruneStats
 	if *sliced && sl != nil {
-		cache = slice.NewAnswerCache(0)
 		solveOpt.KeepDep, solveOpt.RelevantRels = sl.KeepDep, sl.RelevantRels()
 		runOpt.KeepDep, runOpt.RelevantRels = sl.KeepDep, sl.RelevantRels()
 		runOpt.PruneStats = &pruneStats
@@ -211,10 +209,6 @@ func run(args []string, out io.Writer) error {
 		}
 		if *possible {
 			ans, err = core.PossibleAnswers(sys, id, f, varList, solveOpt)
-		} else if cache != nil {
-			ans, err = cachedAnswers(sys, sl, cache, *query, varList, func() ([]relation.Tuple, error) {
-				return core.PeerConsistentAnswers(sys, id, f, varList, solveOpt)
-			})
 		} else {
 			ans, err = core.PeerConsistentAnswers(sys, id, f, varList, solveOpt)
 		}
@@ -223,13 +217,7 @@ func run(args []string, out io.Writer) error {
 		if perr != nil {
 			return perr
 		}
-		if cache != nil {
-			ans, err = cachedAnswers(sys, sl, cache, *query, varList, func() ([]relation.Tuple, error) {
-				return program.PeerConsistentAnswersViaLP(sys, id, f, varList, runOpt)
-			})
-		} else {
-			ans, err = program.PeerConsistentAnswersViaLP(sys, id, f, varList, runOpt)
-		}
+		ans, err = program.PeerConsistentAnswersViaLP(sys, id, f, varList, runOpt)
 	case "lav":
 		f, perr := foquery.Parse(*query)
 		if perr != nil {
@@ -266,10 +254,6 @@ func run(args []string, out io.Writer) error {
 		if *sliced && runOpt.PruneStats != nil && *engine == "lp" {
 			fmt.Fprintf(out, "slice: ground rules kept %d (%d pruned)\n", pruneStats.KeptRules, pruneStats.DroppedRules)
 		}
-		if cache != nil {
-			hits, misses := cache.Stats()
-			fmt.Fprintf(out, "slice: answer cache hits=%d misses=%d\n", hits, misses)
-		}
 	}
 	kind := "peer consistent"
 	if *possible {
@@ -286,52 +270,20 @@ func run(args []string, out io.Writer) error {
 // in-process transport (full neighbour mesh) and answers through the
 // queried peer's delegated distributed path.
 func delegatedAnswers(sys *core.System, id core.PeerID, q foquery.Formula, vars []string, transitive bool, par int) ([]relation.Tuple, peernet.DelegationInfo, error) {
+	var info peernet.DelegationInfo
 	if _, ok := sys.Peer(id); !ok {
-		return nil, peernet.DelegationInfo{}, fmt.Errorf("unknown peer %s", id)
+		return nil, info, fmt.Errorf("unknown peer %s", id)
 	}
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, pid := range sys.Peers() {
-		p, _ := sys.Peer(pid)
-		n := peernet.NewNode(p, tr, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			return nil, peernet.DelegationInfo{}, err
-		}
-		defer n.Stop()
-		nodes[pid] = n
+	nodes, stop, err := peernet.Deploy(sys, peernet.NewInProc())
+	if err != nil {
+		return nil, info, err
 	}
+	defer stop()
 	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
+		n.Parallelism = par
 	}
-	return nodes[id].DelegatedAnswersInfo(q, vars, transitive)
-}
-
-// cachedAnswers serves the query through the slice-keyed answer cache:
-// the key embeds the slice signature and a fingerprint of the relevant
-// relations, so the cache needs no invalidation. The CLI is one-shot,
-// so the lookup always misses here; the point is to exercise exactly
-// the key construction a long-lived node uses (and to surface it via
-// -stats) at the cost of one fingerprint pass over the relevant data.
-func cachedAnswers(sys *core.System, sl *slice.Slice, cache *slice.AnswerCache, query string, vars []string, compute func() ([]relation.Tuple, error)) ([]relation.Tuple, error) {
-	fp, err := slice.DataFingerprint(sys, sl)
-	if err != nil {
-		return nil, err
-	}
-	key := slice.AnswerKey(query, vars, sl, fp)
-	if ans, ok := cache.Get(key); ok {
-		return ans, nil
-	}
-	ans, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	cache.Put(key, ans)
-	return ans, nil
+	ans, err := nodes[id].AnswerQuery(q, vars, peernet.QueryOptions{Transitive: transitive, Delegate: true, Delegation: &info})
+	return ans, info, err
 }
 
 // lpRuleCounts compares the sliced specification program against the
@@ -378,30 +330,7 @@ func lavAnswers(sys *core.System, id core.PeerID, q foquery.Formula, vars []stri
 	for i, s := range sols {
 		restricted[i] = s.Restrict(p.Schema)
 	}
-	counts := map[string]int{}
-	keep := map[string]relation.Tuple{}
-	for _, in := range restricted {
-		ans, err := foquery.Answers(in, q, vars)
-		if err != nil {
-			return nil, err
-		}
-		seen := map[string]bool{}
-		for _, t := range ans {
-			if !seen[t.Key()] {
-				seen[t.Key()] = true
-				counts[t.Key()]++
-				keep[t.Key()] = t
-			}
-		}
-	}
-	var out []relation.Tuple
-	for k, c := range counts {
-		if c == len(restricted) {
-			out = append(out, keep[k])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out, nil
+	return repair.IntersectAnswersOpt(restricted, q, vars, repair.Options{Parallelism: par})
 }
 
 // atomicQueryRel extracts the relation of an atomic query rel(V1,...).

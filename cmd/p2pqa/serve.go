@@ -36,34 +36,21 @@ var serveStop chan struct{}
 // runServe deploys every peer of the system as an in-process node
 // (full neighbour mesh, like -delegate) and serves the queried peer's
 // node over HTTP until a signal arrives. The served node runs with the
-// TTL caches on: local writes through /write invalidate them
-// immediately, remote peers' data may be up to -cache-ttl stale.
+// TTL caches on: local writes through /write are visible immediately,
+// remote peers' data may be up to -cache-ttl stale.
 func runServe(sys *core.System, id core.PeerID, out io.Writer, p serveParams) error {
 	if _, ok := sys.Peer(id); !ok {
 		return fmt.Errorf("unknown peer %s", id)
 	}
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, pid := range sys.Peers() {
-		peer, _ := sys.Peer(pid)
-		n := peernet.NewNode(peer, tr, nil)
-		n.Parallelism = p.parallelism
-		if pid == id {
-			n.CacheTTL = p.cacheTTL
-		}
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[pid] = n
+	nodes, stop, err := peernet.Deploy(sys, peernet.NewInProc())
+	if err != nil {
+		return err
 	}
+	defer stop()
 	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
+		n.Parallelism = p.parallelism
 	}
+	nodes[id].CacheTTL = p.cacheTTL
 
 	srv := serve.New(nodes[id], serve.Config{
 		MaxConcurrent: p.maxConcurrent,

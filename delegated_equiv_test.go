@@ -1,14 +1,14 @@
-// Delegated-answering equivalence tests: DelegatedAnswers — the
-// distributed execution path that fans atomic sub-queries out to the
-// owning peers over OpPCA and composes their answer sets — must return
-// byte-identical answers AND errors to the centralized sliced path
-// (PeerConsistentAnswersFor), on the paper's fixtures and on seeded
-// workloads, at several parallelism levels, under both semantics. The
-// exactness gate (slice.PlanDelegation) makes every inexact shape fall
-// back to the centralized path, so equivalence must hold whether a case
-// delegates or not; where the expected outcome is known, the tests also
-// pin it, so delegation-expected cases cannot silently degrade into
-// vacuous fallback-vs-fallback comparisons.
+// Delegated-answering equivalence tests: a delegated query
+// (QueryOptions.Delegate) — the distributed execution path that fans
+// atomic sub-queries out to the owning peers over OpPCA and composes
+// their answer sets — must return byte-identical answers AND errors to
+// the centralized sliced path of AnswerQuery, on the paper's fixtures
+// and on seeded workloads, at several parallelism levels, under both
+// semantics. The exactness gate (slice.PlanDelegation) makes every
+// inexact shape fall back to the centralized path, so equivalence must
+// hold whether a case delegates or not; where the expected outcome is
+// known, the tests also pin it, so delegation-expected cases cannot
+// silently degrade into vacuous fallback-vs-fallback comparisons.
 package repro
 
 import (
@@ -40,24 +40,13 @@ const (
 // transport at the given parallelism and returns the nodes.
 func startDelegationNetwork(t *testing.T, sys *core.System, par int) map[core.PeerID]*peernet.Node {
 	t.Helper()
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := peernet.Deploy(sys, peernet.NewInProc())
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(stop)
 	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
+		n.Parallelism = par
 	}
 	return nodes
 }
@@ -71,8 +60,9 @@ func requireDelegatedEquivalent(t *testing.T, name string, build func() *core.Sy
 	for _, par := range delegationLevels {
 		nodes := startDelegationNetwork(t, build(), par)
 		root := nodes[id]
-		central, centralErr := root.PeerConsistentAnswersFor(q, vars, transitive)
-		deleg, info, delegErr := root.DelegatedAnswersInfo(q, vars, transitive)
+		central, centralErr := root.AnswerQuery(q, vars, peernet.QueryOptions{Transitive: transitive})
+		var info peernet.DelegationInfo
+		deleg, delegErr := root.AnswerQuery(q, vars, peernet.QueryOptions{Transitive: transitive, Delegate: true, Delegation: &info})
 		centralFP := fmt.Sprintf("pca=%v err=%v", central, centralErr)
 		delegFP := fmt.Sprintf("pca=%v err=%v", deleg, delegErr)
 		if centralFP != delegFP {

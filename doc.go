@@ -137,20 +137,21 @@
 // from the active domain degrades the slice to Full (no restriction).
 // The slice is then applied at every layer:
 //
-//   - peernet.Node.SnapshotFor fetches specifications first
-//     (OpExportSpec — schema/DECs/trust, no facts, TTL-cached per
-//     peer), computes the slice, and moves only the relations in it —
-//     one batched OpFetchBatch round-trip per relevant peer; bystander
-//     peers contribute schema but ship no tuples;
+//   - peernet.Node.SnapshotFor, the node's only snapshot builder,
+//     fetches specifications first (OpExportSpec — schema/DECs/trust,
+//     no facts, TTL-cached per peer), computes the slice, and moves
+//     only the relations in it — one batched OpFetchBatch round-trip
+//     per relevant peer; bystander peers contribute schema but ship no
+//     tuples;
 //   - core.SolveOptions{KeepDep, RelevantRels} restricts the repair
 //     engine to the slice's constraints over the restricted global
 //     instance; program.BuildOptions does the same for the LP builders
 //     (persistence rules, primed relations and facts only for relevant
 //     relations) and ground.Options.Relevant prunes rules outside the
 //     relevant predicates' dependency closure before grounding;
-//   - peernet.Node.PeerConsistentAnswersFor caches answers under a
-//     content-addressed (query, vars, slice signature, data
-//     fingerprint) key (slice.AnswerCache): repeat queries over
+//   - peernet.Node.AnswerQuery, the node's only query method, caches
+//     answers under a content-addressed (query, vars, slice signature,
+//     data fingerprint) key (slice.AnswerCache): repeat queries over
 //     unchanged relevant data skip grounding and repair entirely, and
 //     an update to an irrelevant relation does not evict them. TTL
 //     cache invalidation is relation-granular: SetNeighbor evicts only
@@ -161,25 +162,28 @@
 // the query can observe — so sliced and unsliced answers are
 // byte-identical (slicing_equiv_test.go: fixtures plus 20 seeded
 // workloads across four generator shapes at Parallelism {1,4},
-// including the no-solutions guard case). The B9 wide-universe
-// benchmark (cmd/p2pbench, workload.WideUniverse) shows the effect: a
-// tiny query-relevant core inside a wide overlay answers ~75x faster
-// sliced (1 of 25 remote relations moved), with repeats served from
-// the answer cache in ~100µs.
+// including the no-solutions guard case). The node therefore has no
+// unsliced path: its tests compare AnswerQuery against the unsliced
+// engines over the in-memory system (testutil.Oracle). The B9
+// wide-universe benchmark (cmd/p2pbench, workload.WideUniverse) shows
+// the effect: a tiny query-relevant core inside a wide overlay moves 1
+// of 25 remote relations and answers about 10x faster than the
+// unsliced engines do in memory, with repeats served from the answer
+// cache in ~15µs.
 //
 // # Delegated distributed execution
 //
 // Centralized answering pulls every relevant peer's data to the
-// querying node and solves there — N peers as N data sources.
-// Node.DelegatedAnswers inverts that: slice.PlanDelegation decomposes
-// the query's relevance slice per owning peer and classifies each
-// target of the root's DECs as a delegate (the target enforces DECs of
-// its own, so it must repair before answering), a fetch (data read
-// raw) or a stub (schema only). Delegates receive one atomic sub-query
-// per shared relation over the existing OpPCA wire op with
-// Request.Sliced and Request.Delegate set, answer it transitively from
-// their own data through their own slice.AnswerCache, and ship answer
-// sets — not relations — back. The querying node rebuilds a mini
+// querying node and solves there — N peers as N data sources. A query
+// with QueryOptions.Delegate set inverts that: slice.PlanDelegation
+// decomposes the query's relevance slice per owning peer and classifies
+// each target of the root's DECs as a delegate (the target enforces
+// DECs of its own, so it must repair before answering), a fetch (data
+// read raw) or a stub (schema only). Delegates receive one atomic
+// sub-query per shared relation over the existing OpPCA wire op with
+// Request.Delegate set, answer it transitively from their own data
+// through their own slice.AnswerCache, and ship answer sets — not
+// relations — back. The querying node rebuilds a mini
 // system in which each delegate's answered relations appear as plain
 // facts (its DECs consumed, trust edges dropped), and runs the
 // ordinary sliced transitive pipeline over it, so composition is the
@@ -187,27 +191,29 @@
 //
 // Delegation runs only when provably exact
 // (internal/slice/delegate.go); every refused shape falls back to
-// PeerConsistentAnswersFor, byte-identical answers and errors. The
-// gate refuses: direct semantics (Definition 4 reads neighbour data
-// raw — nothing to delegate); domain-dependent (Full) slices (repairs
-// may draw witnesses from the whole active domain); same-trust DECs at
-// a non-root peer (the combined program ignores them, a delegate would
-// enforce them); root same-trust DECs toward a repairing peer (a joint
-// repair does not factor through the delegate's answer sets); and any
-// kept dependency whose repair is not forced (a delegate with repair
-// choices returns the intersection over its own solutions, which can
-// differ from composing per-solution answers). The wire protocol
-// carries a hop budget and a visited-peer set, so cyclic overlays
-// terminate and surface the same error as the centralized path.
+// AnswerQuery with the caller's options (parallelism included),
+// byte-identical answers and errors; QueryOptions.Delegation reports
+// which way a query went. The gate refuses: direct semantics
+// (Definition 4 reads neighbour data raw — nothing to delegate);
+// domain-dependent (Full) slices (repairs may draw witnesses from the
+// whole active domain); same-trust DECs at a non-root peer (the
+// combined program ignores them, a delegate would enforce them); root
+// same-trust DECs toward a repairing peer (a joint repair does not
+// factor through the delegate's answer sets); and any kept dependency
+// whose repair is not forced (a delegate with repair choices returns
+// the intersection over its own solutions, which can differ from
+// composing per-solution answers). The wire protocol carries a hop
+// budget and a visited-peer set, so cyclic overlays terminate and
+// surface the same error as the centralized path.
 // delegated_equiv_test.go pins equivalence on the paper fixtures plus
 // 20 seeded systems per shape at Parallelism {1,4} under both
 // semantics, with the expected delegate/fallback outcome asserted so
 // delegation cannot silently degrade into fallback-vs-fallback
 // comparisons. Benchmark B11 (workload.DelegationFanout) measures the
-// point: the querying peer receives filtered answer sets instead of
-// raw hub+leaf relations (~2.4x fewer bytes, fewer round-trips), and
-// repair CPU runs at the hubs, where the data lives. cmd/p2pqa
-// surfaces the path as -delegate.
+// point: the querying peer receives filtered answer sets instead of raw
+// hub+leaf relations (~2.4x fewer bytes, fewer round-trips), and repair
+// CPU runs at the hubs, where the data lives. cmd/p2pqa surfaces the
+// path as -delegate.
 //
 // # Interned-symbol core and indexing
 //
@@ -307,32 +313,34 @@
 //     starve the pool.
 //   - Coalescing. Identical concurrent queries are collapsed in flight
 //     (slice.Flight, a hand-rolled singleflight keyed by the same
-//     content-addressed answer key the cache uses): one leader computes,
-//     followers wait and receive deep copies, and the node's accounting
-//     keeps the invariant that every query is exactly one of cache hit,
-//     flight leader, or coalesced follower. Node.NoCoalesce exposes the
-//     uncoalesced path for A/B measurement (benchmark B13 shows a burst
-//     of identical queries computing once instead of once per admitted
-//     query).
+//     content-addressed answer key the cache uses): one leader
+//     computes, followers wait and receive deep copies, and the node's
+//     accounting keeps the invariant that every query is exactly one of
+//     cache hit, flight leader, coalesced follower or incremental patch
+//     (Node.Stats). Node.NoCoalesce exposes the uncoalesced path for
+//     A/B measurement (benchmark B13 shows a burst of identical queries
+//     computing once instead of once per admitted query).
 //   - Metrics. internal/metrics is a dependency-free registry of
 //     counters, gauges and exponential-bucket histograms rendered in
 //     text exposition format at /metrics and dumped by -stats on
 //     shutdown: qps, query/write totals, p50/p99 latency, shed count,
 //     queue depth, answer-cache hit rate, coalesce and solver-run
-//     counters, repair-search component statistics.
+//     counters, repair-search component statistics — the node's
+//     series are registered from one peernet.Stats table.
 //
 // Write visibility is the serving plane's freshness guarantee: local
-// writes go through Server.Write -> Node.UpdateLocal, which invalidates
-// the node's own TTL snapshot cache, so a write is visible to the very
-// next query — no staleness window on the served peer's own data.
-// (Remote peers' data is still read through the TTL caches; that
-// freshness bound is the documented CacheTTL semantics, not a
-// serving-plane artifact.) Queries read snapshot-isolated
-// copy-on-write instance clones throughout, so in-flight queries are
-// unaffected by concurrent writes. Benchmark B13 drives the plane end
-// to end: a sustained mixed read/write stream from concurrent clients,
-// write-visibility and byte-identity checks against one-shot uncached
-// answering, and the coalescing A/B.
+// writes go through Server.Write -> Node.UpdateLocal, and every query
+// reads the live peer (a fresh clone, or the write journal replayed
+// onto a retained snapshot; the TTL caches hold remote specs and
+// relations only), so a write is visible to the very next query — no
+// staleness window on the served peer's own data. (Remote peers' data
+// is still read through the TTL caches; that freshness bound is the
+// documented CacheTTL semantics, not a serving-plane artifact.) Queries
+// read snapshot-isolated copy-on-write instance clones throughout, so
+// in-flight queries are unaffected by concurrent writes. Benchmark B13
+// drives the plane end to end: a sustained mixed read/write stream from
+// concurrent clients, write-visibility and byte-identity checks against
+// the engines over the in-memory system, and the coalescing A/B.
 //
 // Server.Stop drains before shutdown: new queries are rejected
 // immediately (ErrStopping) while both the in-flight queries and the
@@ -376,13 +384,15 @@
 //     promotes the answer-cache entry to the post-write fingerprint key
 //     in place (slice.AnswerCache.Promote) — the relation hashes are
 //     content-based, so the patched snapshot fingerprints identically
-//     to a freshly assembled one. Validity is re-checked on every hit
-//     (journal identity and availability, spec signature, remote
-//     relation generations, TTL window); any mismatch drops the series
-//     and the full path reseeds it. A series never outlives CacheTTL,
-//     so remote staleness stays at the same TTL grade as the node's
-//     relation caches. Node.NoIncremental exposes the
-//     evict-and-recompute path for A/B measurement.
+//     to a freshly assembled one. A repeat with an empty delta is
+//     served from the promoted entry and counted as a cache hit, not a
+//     patch. Validity is re-checked on every hit (journal identity and
+//     availability, spec signature, remote relation generations, TTL
+//     window); any mismatch drops the series and the full path reseeds
+//     it. A series never outlives CacheTTL, so remote staleness stays
+//     at the same TTL grade as the node's relation caches.
+//     Node.NoIncremental exposes the evict-and-recompute path for A/B
+//     measurement.
 //
 // Benchmark B14 (workload.ChurnUniverse + ChurnStream) measures the
 // payoff: on a scattered-component workload whose query slice spans
@@ -391,8 +401,8 @@
 // evict-and-recompute, with every answer pair checked byte-identical
 // while measuring. The churn tests (go test -run 'Churn|Incr') replay
 // randomized interleaved write/query schedules and assert every served
-// answer equals a fresh uncached node's, under -race and at
-// parallelism 1 and 4.
+// answer equals the in-memory oracle's and that every query is counted
+// exactly once, under -race and at parallelism 1 and 4.
 //
 // # Answer-path costs
 //

@@ -1,5 +1,5 @@
-// Networked peers: deploy Example 1's three peers as TCP servers on
-// loopback, then answer a query at P1 with peer-consistent semantics —
+// Networked peers: deploy Example 1's three peers as TCP servers, then
+// answer a query at P1 with peer-consistent semantics —
 // P1 fetches r2 and r3 over the wire exactly as the paper describes
 // ("P1 will first issue a query to P2 to retrieve the tuples in R2").
 //
@@ -19,25 +19,15 @@ func main() {
 	sys := core.Example1System()
 	tr := &peernet.TCP{}
 
-	// Start one node per peer on an ephemeral loopback port.
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start("127.0.0.1:0"); err != nil {
-			log.Fatal(err)
-		}
-		defer n.Stop()
-		nodes[id] = n
-		fmt.Printf("peer %s serving at %s\n", id, n.Addr)
+	// Start one node per peer on an ephemeral port and exchange
+	// addresses (a static overlay; discovery would go here).
+	nodes, stop, err := peernet.Deploy(sys, tr)
+	if err != nil {
+		log.Fatal(err)
 	}
-	// Exchange addresses (a static overlay; discovery would go here).
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
+	defer stop()
+	for _, id := range sys.Peers() {
+		fmt.Printf("peer %s serving at %s\n", id, nodes[id].BoundAddr())
 	}
 
 	// A remote client can fetch raw relations ...
@@ -56,8 +46,8 @@ func main() {
 
 	// ... and ask P1 for peer consistent answers; P1 gathers its
 	// neighbours' data over the network, repairs virtually, intersects.
-	ans, err := nodes["P1"].PeerConsistentAnswers(
-		foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
+	ans, err := nodes["P1"].AnswerQuery(
+		foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, peernet.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

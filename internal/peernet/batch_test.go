@@ -2,6 +2,7 @@ package peernet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,9 @@ func TestFetchRelationsUnknownRelation(t *testing.T) {
 	nodes := startNetwork(t, sys, NewInProc())
 	if _, err := nodes["P"].FetchRelations("Q", []string{"a", "nope"}); err == nil {
 		t.Fatal("expected an error for an undeclared relation")
+	}
+	if _, err := nodes["P"].FetchRelation("Z", "a"); err == nil || !strings.Contains(err.Error(), "no address known") {
+		t.Fatalf("expected a no-address error for an unknown peer, got %v", err)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/foquery"
+	"repro/internal/testutil"
 )
 
 // TestConcurrentRequests hammers a node with parallel fetches, queries
-// and PCA requests over both transports; results must stay correct and
-// the race detector clean.
+// and PCA requests over both transports; results must stay correct
+// (the PCAs equal the in-memory oracle's) and the race detector clean.
 func TestConcurrentRequests(t *testing.T) {
 	for name, tr := range map[string]Transport{
 		"inproc": NewInProc(),
@@ -23,6 +24,11 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sys := core.Example1System()
 			nodes := startNetwork(t, sys, tr)
+			q := foquery.MustParse("r1(X,Y)")
+			want, err := testutil.Oracle(sys, "P1", q, []string{"X", "Y"}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 60)
 			for i := 0; i < 20; i++ {
@@ -50,10 +56,9 @@ func TestConcurrentRequests(t *testing.T) {
 				}()
 				go func() {
 					defer wg.Done()
-					ans, err := nodes["P1"].PeerConsistentAnswers(
-						foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
-					if err == nil && len(ans) != 3 {
-						err = fmt.Errorf("pca got %d answers", len(ans))
+					ans, err := nodes["P1"].AnswerQuery(q, []string{"X", "Y"}, QueryOptions{})
+					if err == nil && !reflect.DeepEqual(ans, want) {
+						err = fmt.Errorf("pca got %v, want %v", ans, want)
 					}
 					errs <- err
 				}()
@@ -70,8 +75,8 @@ func TestConcurrentRequests(t *testing.T) {
 }
 
 // TestSetNeighborVsHandleRace mutates the neighbour table while other
-// goroutines exercise every reader of it — the OpExport handler, the
-// snapshot fan-out and FetchRelation. The seed raced here (an unlocked
+// goroutines exercise every reader of it — the OpExportSpec handler,
+// the snapshot fan-out and FetchRelation. The seed raced here (an unlocked
 // map write against handler reads); this test pins the fix under
 // -race.
 func TestSetNeighborVsHandleRace(t *testing.T) {
@@ -100,7 +105,7 @@ func TestSetNeighborVsHandleRace(t *testing.T) {
 		wg2.Add(3)
 		go func() {
 			defer wg2.Done()
-			resp, err := tr.Call(p1.Addr, Request{Op: OpExport})
+			resp, err := tr.Call(p1.Addr, Request{Op: OpExportSpec})
 			if err != nil {
 				t.Error(err)
 			} else if resp.Err != "" {
@@ -109,7 +114,7 @@ func TestSetNeighborVsHandleRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg2.Done()
-			if _, err := p1.Snapshot(false); err != nil {
+			if _, _, err := p1.SnapshotFor(foquery.MustParse("r1(X,Y)"), false); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -137,58 +142,95 @@ func (c *countingTransport) Call(addr string, req Request) (Response, error) {
 	return c.Transport.Call(addr, req)
 }
 
-// TestSnapshotCacheTTL checks the snapshot cache end to end: hits
-// inside the TTL window cost zero network calls, expiry refetches, and
-// SetNeighbor invalidates.
+// TestSnapshotCacheTTL checks the TTL caches under AnswerQuery end to
+// end: a repeat query inside the window makes zero network calls (the
+// spec and relation caches serve its snapshot), expiry refetches every
+// peer, and SetNeighbor refetches only the changed peer.
 func TestSnapshotCacheTTL(t *testing.T) {
 	sys := core.Example1System()
-	tr := &countingTransport{Transport: NewInProc()}
+	tr := &perPeerCounter{Transport: NewInProc()}
 	nodes := startNetwork(t, sys, tr)
 	p1 := nodes["P1"]
 	now := time.Unix(1000, 0)
 	p1.clock = func() time.Time { return now }
 	p1.CacheTTL = time.Minute
+	tr.track(nodes)
 
 	q := foquery.MustParse("r1(X,Y)")
-	want, err := p1.PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-	if err != nil {
-		t.Fatal(err)
+	ask := func() {
+		t.Helper()
+		got, err := p1.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := testutil.Oracle(sys, "P1", q, []string{"X", "Y"}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("answers %v != oracle %v", got, want)
+		}
 	}
-	if len(want) != 3 {
-		t.Fatalf("pca = %v", want)
+	ask()
+	first := tr.reset()
+	if first["P2"] == 0 || first["P3"] == 0 {
+		t.Fatalf("first query should reach both neighbours, calls %v", first)
 	}
-	after := tr.calls.Load()
-	if after == 0 {
-		t.Fatal("first query should hit the network")
+	// Within TTL: zero calls.
+	ask()
+	if c := tr.reset(); len(c) != 0 {
+		t.Fatalf("repeat query inside the TTL made network calls %v", c)
 	}
-	// Within TTL: answers identical, zero extra calls.
-	got, err := p1.PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached answers %v != %v", got, want)
-	}
-	if c := tr.calls.Load(); c != after {
-		t.Fatalf("cached query made %d network calls", c-after)
-	}
-	// Past TTL: refetch.
+	// Past TTL: every neighbour is asked again.
 	now = now.Add(2 * time.Minute)
-	if _, err := p1.Snapshot(false); err != nil {
-		t.Fatal(err)
+	ask()
+	if c := tr.reset(); c["P2"] == 0 || c["P3"] == 0 {
+		t.Fatalf("expired caches should refetch both neighbours, calls %v", c)
 	}
-	if c := tr.calls.Load(); c == after {
-		t.Fatal("expired snapshot should refetch")
-	}
-	// SetNeighbor invalidates inside the window.
-	after = tr.calls.Load()
+	// SetNeighbor inside the window refetches only that peer.
 	p1.SetNeighbor("P2", nodes["P2"].Addr)
-	if _, err := p1.Snapshot(false); err != nil {
-		t.Fatal(err)
+	ask()
+	if c := tr.reset(); c["P2"] == 0 || c["P3"] != 0 {
+		t.Fatalf("SetNeighbor(P2) should refetch P2 only, calls %v", c)
 	}
-	if c := tr.calls.Load(); c == after {
-		t.Fatal("SetNeighbor should invalidate the snapshot cache")
+}
+
+// perPeerCounter counts Calls per target peer of the tracked nodes.
+type perPeerCounter struct {
+	Transport
+	mu     sync.Mutex
+	peerAt map[string]core.PeerID
+	calls  map[core.PeerID]int
+}
+
+func (c *perPeerCounter) track(nodes map[core.PeerID]*Node) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.peerAt = map[string]core.PeerID{}
+	for id, n := range nodes {
+		c.peerAt[n.BoundAddr()] = id
 	}
+}
+
+func (c *perPeerCounter) Call(addr string, req Request) (Response, error) {
+	c.mu.Lock()
+	if id, ok := c.peerAt[addr]; ok {
+		if c.calls == nil {
+			c.calls = map[core.PeerID]int{}
+		}
+		c.calls[id]++
+	}
+	c.mu.Unlock()
+	return c.Transport.Call(addr, req)
+}
+
+// reset returns the counts since the last reset and clears them.
+func (c *perPeerCounter) reset() map[core.PeerID]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.calls
+	c.calls = nil
+	return out
 }
 
 // TestFetchRelationCacheTTL checks the relation cache analogously.
@@ -226,25 +268,23 @@ func TestFetchRelationCacheTTL(t *testing.T) {
 }
 
 // TestSnapshotParallelIdentical checks that the concurrent neighbour
-// fan-out assembles the same system (and the same PCA answers) as the
-// sequential walk, in both the direct and transitive cases.
+// fan-out of SnapshotFor assembles the same system (same peers, same
+// data) as the sequential walk, in both the direct and transitive
+// cases.
 func TestSnapshotParallelIdentical(t *testing.T) {
+	q := foquery.MustParse("r1(X,Y)")
 	for _, transitive := range []bool{false, true} {
 		sys := core.Example4System()
 		nodes := startNetwork(t, sys, NewInProc())
 		p := nodes["P"]
 		p.Parallelism = 1
-		seqSys, err := p.Snapshot(transitive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := p.PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, transitive)
+		seqSys, _, err := p.SnapshotFor(q, transitive)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 8} {
 			p.Parallelism = par
-			parSys, err := p.Snapshot(transitive)
+			parSys, _, err := p.SnapshotFor(q, transitive)
 			if err != nil {
 				t.Fatalf("transitive=%v parallelism %d: %v", transitive, par, err)
 			}
@@ -252,12 +292,8 @@ func TestSnapshotParallelIdentical(t *testing.T) {
 				t.Fatalf("transitive=%v parallelism %d: peers %v != %v",
 					transitive, par, parSys.Peers(), seqSys.Peers())
 			}
-			got, err := p.PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, transitive)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, seq) {
-				t.Fatalf("transitive=%v parallelism %d: %v != %v", transitive, par, got, seq)
+			if got, want := parSys.Global().Key(), seqSys.Global().Key(); got != want {
+				t.Fatalf("transitive=%v parallelism %d: data %s != %s", transitive, par, got, want)
 			}
 		}
 	}

@@ -9,18 +9,27 @@ import (
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/foquery"
+	"repro/internal/relation"
 	"repro/internal/sysdsl"
 	"repro/internal/workload"
 )
 
-// requireDelegationMatchesCentral asserts that DelegatedAnswers and the
+// delegatedInfo answers a query with QueryOptions.Delegate set and
+// returns the delegation report alongside.
+func delegatedInfo(n *Node, q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, DelegationInfo, error) {
+	var info DelegationInfo
+	ans, err := n.AnswerQuery(q, vars, QueryOptions{Transitive: transitive, Delegate: true, Delegation: &info})
+	return ans, info, err
+}
+
+// requireDelegationMatchesCentral asserts that a delegated query and the
 // centralized sliced path agree byte-for-byte (answers and errors) for
 // one query, and returns the delegation report.
 func requireDelegationMatchesCentral(t *testing.T, n *Node, query string, vars []string, transitive bool) DelegationInfo {
 	t.Helper()
 	q := foquery.MustParse(query)
-	central, centralErr := n.PeerConsistentAnswersFor(q, vars, transitive)
-	deleg, info, delegErr := n.DelegatedAnswersInfo(q, vars, transitive)
+	central, centralErr := n.AnswerQuery(q, vars, QueryOptions{Transitive: transitive})
+	deleg, info, delegErr := delegatedInfo(n, q, vars, transitive)
 	if fmt.Sprintf("%v", centralErr) != fmt.Sprintf("%v", delegErr) {
 		t.Fatalf("delegated error diverges: central=%v delegated=%v", centralErr, delegErr)
 	}
@@ -48,8 +57,7 @@ func TestDelegatedAnswersChain(t *testing.T) {
 			t.Fatalf("delegates = %v", info.Delegates)
 		}
 	}
-	delegated, _, _ := nodes["P0"].DelegationStats()
-	if delegated != 2 {
+	if delegated := nodes["P0"].Stats().Delegated; delegated != 2 {
 		t.Fatalf("delegated counter = %d, want 2", delegated)
 	}
 }
@@ -78,26 +86,11 @@ func TestDelegatedAnswersFetchOnlyPlan(t *testing.T) {
 func TestDelegatedAnswersFanout(t *testing.T) {
 	sys := workload.DelegationFanout(3, 4, 2, 10, 1)
 	tr := NewInProc()
-	nodes := map[core.PeerID]*Node{}
-	meters := map[core.PeerID]*Meter{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		m := &Meter{T: tr}
-		meters[id] = m
-		n := NewNode(p, m, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
-	}
+	nodes := startNetwork(t, sys, tr)
+	// Meter the root's calls only (Meter's Listen passes through, so
+	// swapping the transport after Start leaves serving untouched).
+	meter := &Meter{T: tr}
+	nodes["P0"].tr = meter
 	info := requireDelegationMatchesCentral(t, nodes["P0"], "r0(X,Y)", []string{"X", "Y"}, true)
 	if !info.Delegated {
 		t.Fatalf("fanout should delegate, fell back: %s", info.Reason)
@@ -106,16 +99,16 @@ func TestDelegatedAnswersFanout(t *testing.T) {
 		t.Fatalf("delegates = %v, want the three hubs", info.Delegates)
 	}
 	q := foquery.MustParse("r0(X,Y)")
-	meters["P0"].Reset()
-	if _, err := nodes["P0"].DelegatedAnswers(q, []string{"X", "Y"}, true); err != nil {
+	meter.Reset()
+	if _, _, err := delegatedInfo(nodes["P0"], q, []string{"X", "Y"}, true); err != nil {
 		t.Fatal(err)
 	}
-	_, _, delegRecv := meters["P0"].Stats()
-	meters["P0"].Reset()
-	if _, err := nodes["P0"].PeerConsistentAnswersFor(q, []string{"X", "Y"}, true); err != nil {
+	_, _, delegRecv := meter.Stats()
+	meter.Reset()
+	if _, err := nodes["P0"].AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, centralRecv := meters["P0"].Stats()
+	_, _, centralRecv := meter.Stats()
 	if delegRecv >= centralRecv {
 		t.Fatalf("delegation should reduce the root's bytes received: delegated=%d central=%d", delegRecv, centralRecv)
 	}
@@ -224,9 +217,9 @@ func TestDelegatedAnswersFallbackShapes(t *testing.T) {
 			if !strings.Contains(info.Reason, tc.wantReason) {
 				t.Fatalf("reason = %q, want substring %q", info.Reason, tc.wantReason)
 			}
-			_, fallbacks, last := nodes[tc.peer].DelegationStats()
-			if fallbacks == 0 || !strings.Contains(last, tc.wantReason) {
-				t.Fatalf("fallback stats not recorded: fallbacks=%d last=%q", fallbacks, last)
+			st := nodes[tc.peer].Stats()
+			if st.DelegationFallbacks == 0 || !strings.Contains(st.LastDelegationFallback, tc.wantReason) {
+				t.Fatalf("fallback stats not recorded: fallbacks=%d last=%q", st.DelegationFallbacks, st.LastDelegationFallback)
 			}
 		})
 	}
@@ -247,11 +240,11 @@ func TestDelegatedAnswersCyclicOverlay(t *testing.T) {
 	sys := core.NewSystem().MustAddPeer(a).MustAddPeer(b)
 	nodes := startNetwork(t, sys, NewInProc())
 	q := foquery.MustParse("ra(X,Y)")
-	central, centralErr := nodes["A"].PeerConsistentAnswersFor(q, []string{"X", "Y"}, true)
+	central, centralErr := nodes["A"].AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if centralErr == nil || !strings.Contains(centralErr.Error(), "cyclic") {
 		t.Fatalf("central path should reject the cycle, got ans=%v err=%v", central, centralErr)
 	}
-	deleg, info, delegErr := nodes["A"].DelegatedAnswersInfo(q, []string{"X", "Y"}, true)
+	deleg, info, delegErr := delegatedInfo(nodes["A"], q, []string{"X", "Y"}, true)
 	if delegErr == nil || delegErr.Error() != centralErr.Error() {
 		t.Fatalf("delegated error diverges: central=%v delegated=%v (ans=%v)", centralErr, delegErr, deleg)
 	}
@@ -278,33 +271,14 @@ func (f *failPCATransport) Call(addr string, req Request) (Response, error) {
 func TestDelegatedAnswersUnreachableDelegate(t *testing.T) {
 	sys := workload.Chain(3, 2, 3)
 	tr := NewInProc()
-	nodes := map[core.PeerID]*Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		var nt Transport = tr
-		if id == "P0" {
-			nt = &failPCATransport{Transport: tr}
-		}
-		n := NewNode(p, nt, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
-	}
+	nodes := startNetwork(t, sys, tr)
+	nodes["P0"].tr = &failPCATransport{Transport: tr} // the root's calls only
 	q := foquery.MustParse("t0(X,Y)")
-	central, err := nodes["P0"].PeerConsistentAnswersFor(q, []string{"X", "Y"}, true)
+	central, err := nodes["P0"].AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deleg, info, err := nodes["P0"].DelegatedAnswersInfo(q, []string{"X", "Y"}, true)
+	deleg, info, err := delegatedInfo(nodes["P0"], q, []string{"X", "Y"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +290,7 @@ func TestDelegatedAnswersUnreachableDelegate(t *testing.T) {
 	}
 	// Fully stopped delegate: both paths fail with a clear error.
 	nodes["P1"].Stop()
-	_, _, derr := nodes["P0"].DelegatedAnswersInfo(q, []string{"X", "Y"}, true)
+	_, _, derr := delegatedInfo(nodes["P0"], q, []string{"X", "Y"}, true)
 	if derr == nil || !strings.Contains(derr.Error(), "no peer") {
 		t.Fatalf("expected a clear error for the stopped delegate, got %v", derr)
 	}
@@ -358,14 +332,14 @@ func TestLocalWritesDuringQueries(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if _, err := root.PeerConsistentAnswersFor(q, []string{"X", "Y"}, true); err != nil {
+		if _, err := root.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true}); err != nil {
 			t.Error(err)
 			break
 		}
 	}
 	wg.Wait()
 	// Once quiesced, the writes are visible to fresh snapshots.
-	ans, err := root.PeerConsistentAnswersFor(q, []string{"X", "Y"}, true)
+	ans, err := root.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

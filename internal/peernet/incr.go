@@ -177,9 +177,10 @@ func (n *Node) incrAnswer(q foquery.Formula, vars []string, par int) (ans []rela
 		return nil, nil, false
 	}
 
+	// A write-free repeat is an answer-cache hit, counted as such (the
+	// Get) and not as a patch: every query is counted exactly once.
 	if len(changes) == 0 && s.lastKey != "" {
 		if cached, hit := n.answersCache().Get(s.lastKey); hit {
-			atomic.AddInt64(&n.incrPatched, 1)
 			return cached, nil, true
 		}
 	}
@@ -311,14 +312,4 @@ func (n *Node) seedSeries(q foquery.Formula, vars []string, sys *core.System, sl
 	n.incrSeries[key] = s
 	n.incrMu.Unlock()
 	atomic.AddInt64(&n.incrSeeds, 1)
-}
-
-// IncrStats reports the incremental re-answering outcomes: queries
-// answered by patching a live series (patched), series seedings
-// (seeded) and series invalidations/gate failures that fell back to
-// the full recompute (fallbacks).
-func (n *Node) IncrStats() (patched, seeded, fallbacks int64) {
-	return atomic.LoadInt64(&n.incrPatched),
-		atomic.LoadInt64(&n.incrSeeds),
-		atomic.LoadInt64(&n.incrFallbacks)
 }

@@ -3,6 +3,7 @@ package peernet
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,26 +13,15 @@ import (
 	"repro/internal/foquery"
 	"repro/internal/relation"
 	"repro/internal/term"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
-
-// freshAnswers computes the canonical answer over the live data with a
-// brand-new cache-free node (the churn harness's ground truth).
-func freshAnswers(t *testing.T, root *Node, q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
-	t.Helper()
-	fresh := NewNode(root.Peer, root.tr, root.neighborsCopy())
-	if err := fresh.Start(":0"); err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Stop()
-	return fresh.PeerConsistentAnswers(q, vars, transitive)
-}
 
 // TestIncrAnswerPatchesInsteadOfResolving pins the payoff: after a
 // warm query, a relevant write to an untouched conflict component is
 // absorbed by the incremental path — no solver run, the answer-cache
-// entry is promoted in place — and the answers still match a fresh
-// cache-free node byte for byte.
+// entry is promoted in place — and the answers still match the
+// in-memory oracle byte for byte.
 func TestIncrAnswerPatchesInsteadOfResolving(t *testing.T) {
 	sys := workload.ScatteredConflicts(4, 3, 11)
 	nodes := startNetwork(t, sys, NewInProc())
@@ -40,43 +30,46 @@ func TestIncrAnswerPatchesInsteadOfResolving(t *testing.T) {
 	q := foquery.MustParse("ra0(X,Y)")
 	vars := []string{"X", "Y"}
 
-	if _, err := root.PeerConsistentAnswersFor(q, vars, false); err != nil {
+	if _, err := root.AnswerQuery(q, vars, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, seeded, _ := root.IncrStats(); seeded != 1 {
+	if seeded := root.Stats().IncrSeeded; seeded != 1 {
 		t.Fatalf("seeded = %d, want 1", seeded)
 	}
-	runsBefore := root.SolverRuns()
+	runsBefore := root.Stats().SolverRuns
 
 	// A write to ra2: fingerprint moves (a plain content-addressed
 	// cache would miss), but the queried component is untouched.
 	root.UpdateLocal(func(p *core.Peer) { p.Fact("ra2", "w0", "v") })
-	got, err := root.PeerConsistentAnswersFor(q, vars, false)
+	got, err := root.AnswerQuery(q, vars, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if patched, _, _ := root.IncrStats(); patched != 1 {
+	if patched := root.Stats().IncrPatched; patched != 1 {
 		t.Fatalf("patched = %d, want 1", patched)
 	}
-	if runs := root.SolverRuns(); runs != runsBefore {
+	if runs := root.Stats().SolverRuns; runs != runsBefore {
 		t.Fatalf("solver ran %d times after the write, want 0 (incremental patch)", runs-runsBefore)
 	}
-	want, err := freshAnswers(t, root, q, vars, false)
+	want, err := testutil.Oracle(sys, root.Peer.ID, q, vars, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("patched answers diverge:\nincr  %v\nfresh %v", got, want)
+		t.Fatalf("patched answers diverge:\nincr   %v\noracle %v", got, want)
 	}
 
-	// The promoted entry serves the next (write-free) repeat query.
-	hitsBefore, _ := root.AnswerCacheStats()
-	if _, err := root.PeerConsistentAnswersFor(q, vars, false); err != nil {
+	// The promoted entry serves the next (write-free) repeat query, which
+	// counts as a hit and not as another patch.
+	before := root.Stats()
+	if _, err := root.AnswerQuery(q, vars, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := root.AnswerCacheStats(); hits != hitsBefore+1 {
-		t.Fatalf("promoted entry missed: hits %d -> %d", hitsBefore, hits)
+	if after := root.Stats(); after.AnswerCacheHits != before.AnswerCacheHits+1 || after.IncrPatched != before.IncrPatched {
+		t.Fatalf("promoted entry: hits %d -> %d, patched %d -> %d; want one more hit, no patch",
+			before.AnswerCacheHits, after.AnswerCacheHits, before.IncrPatched, after.IncrPatched)
 	}
+	requireQueryAccounting(t, root, 3)
 }
 
 // TestIncrNoIncrementalKnob: with the A/B knob set, the same write
@@ -91,19 +84,20 @@ func TestIncrNoIncrementalKnob(t *testing.T) {
 	q := foquery.MustParse("ra0(X,Y)")
 	vars := []string{"X", "Y"}
 
-	if _, err := root.PeerConsistentAnswersFor(q, vars, false); err != nil {
+	if _, err := root.AnswerQuery(q, vars, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	runsBefore := root.SolverRuns()
+	runsBefore := root.Stats().SolverRuns
 	root.UpdateLocal(func(p *core.Peer) { p.Fact("ra2", "w0", "v") })
-	if _, err := root.PeerConsistentAnswersFor(q, vars, false); err != nil {
+	if _, err := root.AnswerQuery(q, vars, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if runs := root.SolverRuns(); runs != runsBefore+1 {
-		t.Fatalf("NoIncremental arm: solver runs %d -> %d, want a recompute", runsBefore, runs)
+	st := root.Stats()
+	if st.SolverRuns != runsBefore+1 {
+		t.Fatalf("NoIncremental arm: solver runs %d -> %d, want a recompute", runsBefore, st.SolverRuns)
 	}
-	if patched, seeded, _ := root.IncrStats(); patched != 0 || seeded != 0 {
-		t.Fatalf("NoIncremental arm touched the incremental path: patched=%d seeded=%d", patched, seeded)
+	if st.IncrPatched != 0 || st.IncrSeeded != 0 {
+		t.Fatalf("NoIncremental arm touched the incremental path: patched=%d seeded=%d", st.IncrPatched, st.IncrSeeded)
 	}
 }
 
@@ -113,7 +107,8 @@ func TestIncrNoIncrementalKnob(t *testing.T) {
 // including the shapes that force the incremental path to fall back
 // (a disjunction spanning two conflict components, a transitive
 // query) — asserting after every query that the served answer is
-// byte-identical to a brand-new cache-free node over the live data.
+// byte-identical to the in-memory oracle over the live data, and at
+// the end that every query was counted exactly once.
 func TestChurnInterleavedWritesMatchFreshNode(t *testing.T) {
 	const k = 4
 	for _, par := range []int{1, 4} {
@@ -136,6 +131,7 @@ func TestChurnInterleavedWritesMatchFreshNode(t *testing.T) {
 				{"ra0(X,Y)", []string{"X", "Y"}, true},             // transitive: incremental path not taken
 			}
 			rng := rand.New(rand.NewSource(int64(23 * par)))
+			var asked int64
 			for step := 0; step < 40; step++ {
 				switch rng.Intn(5) {
 				case 0: // fresh clean fact, no new conflict
@@ -158,29 +154,30 @@ func TestChurnInterleavedWritesMatchFreshNode(t *testing.T) {
 							}
 						}
 					})
-				default: // query and compare against a fresh node
+				default: // query and compare against the oracle
 					qq := queries[rng.Intn(len(queries))]
 					f := foquery.MustParse(qq.q)
 					got, gotErr := root.AnswerQuery(f, qq.vars, QueryOptions{Transitive: qq.transitive})
-					want, wantErr := freshAnswers(t, root, f, qq.vars, qq.transitive)
+					asked++
+					want, wantErr := testutil.Oracle(sys, root.Peer.ID, f, qq.vars, qq.transitive)
 					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 						t.Fatalf("step %d %s: error diverges: got %v want %v", step, qq.q, gotErr, wantErr)
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d %s (transitive=%v): answers diverge:\nserved %v\nfresh  %v",
+						t.Fatalf("step %d %s (transitive=%v): answers diverge:\nserved %v\noracle %v",
 							step, qq.q, qq.transitive, got, want)
 					}
 				}
 			}
-			patched, seeded, _ := root.IncrStats()
-			if seeded == 0 || patched == 0 {
-				t.Fatalf("incremental path never engaged: patched=%d seeded=%d", patched, seeded)
+			if st := root.Stats(); st.IncrSeeded == 0 || st.IncrPatched == 0 {
+				t.Fatalf("incremental path never engaged: patched=%d seeded=%d", st.IncrPatched, st.IncrSeeded)
 			}
+			requireQueryAccounting(t, root, asked)
 
 			// Deterministic epilogue: with live conflicts in BOTH queried
 			// components (the churn deletes may have resolved them), the
 			// disjunction spans two components with repairs, so the series
-			// must fall back to the full path and still match a fresh node.
+			// must fall back to the full path and still match the oracle.
 			root.UpdateLocal(func(p *core.Peer) {
 				p.Fact("ra0", "c0", "epi0")
 				p.Fact("ra1", "c1", "epi1")
@@ -191,27 +188,29 @@ func TestChurnInterleavedWritesMatchFreshNode(t *testing.T) {
 				t.Fatal(err)
 			}
 			root.UpdateLocal(func(p *core.Peer) { p.Fact("ra0", "epi", "v") })
+			asked += 2
 			got, err := root.AnswerQuery(orQ, orVars, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := freshAnswers(t, root, orQ, orVars, false)
+			want, err := testutil.Oracle(sys, root.Peer.ID, orQ, orVars, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("post-fallback answers diverge:\nserved %v\nfresh  %v", got, want)
+				t.Fatalf("post-fallback answers diverge:\nserved %v\noracle %v", got, want)
 			}
-			if _, _, fallbacks := root.IncrStats(); fallbacks == 0 {
+			if root.Stats().IncrFallbacks == 0 {
 				t.Fatal("component-spanning query after a write did not fall back")
 			}
+			requireQueryAccounting(t, root, asked)
 		})
 	}
 }
 
 // TestChurnConcurrentWritesAndQueries hammers one node with parallel
 // writers and readers (run under -race), then quiesces and asserts the
-// final served answer matches a fresh cache-free node.
+// final served answer matches the in-memory oracle.
 func TestChurnConcurrentWritesAndQueries(t *testing.T) {
 	const k = 3
 	sys := workload.ScatteredConflicts(k, 2, 29)
@@ -253,18 +252,19 @@ func TestChurnConcurrentWritesAndQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := freshAnswers(t, root, q, []string{"X", "Y"}, false)
+		want, err := testutil.Oracle(sys, root.Peer.ID, q, []string{"X", "Y"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("ra%d: final answers diverge:\nserved %v\nfresh  %v", i, got, want)
+			t.Fatalf("ra%d: final answers diverge:\nserved %v\noracle %v", i, got, want)
 		}
 	}
 }
 
-// TestIncrSeriesInvalidation: spec drift and TTL expiry drop a series
-// (a fallback, then a reseed), never a wrong answer.
+// TestIncrSeriesInvalidation: spec drift, a wholesale instance
+// replacement and TTL expiry drop a series (a fallback, then a
+// reseed), never a wrong answer.
 func TestIncrSeriesInvalidation(t *testing.T) {
 	sys := workload.ScatteredConflicts(3, 2, 31)
 	nodes := startNetwork(t, sys, NewInProc())
@@ -277,7 +277,7 @@ func TestIncrSeriesInvalidation(t *testing.T) {
 
 	ask := func() []relation.Tuple {
 		t.Helper()
-		ans, err := root.PeerConsistentAnswersFor(q, vars, false)
+		ans, err := root.AnswerQuery(q, vars, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,22 +287,45 @@ func TestIncrSeriesInvalidation(t *testing.T) {
 	// Spec drift: declaring a new relation must invalidate the series.
 	root.UpdateLocal(func(p *core.Peer) { p.Declare("extra", 2).Fact("extra", "a", "b") })
 	ask()
-	_, _, fallbacks := root.IncrStats()
-	if fallbacks == 0 {
+	if root.Stats().IncrFallbacks == 0 {
 		t.Fatal("spec drift did not invalidate the series")
 	}
 
-	// TTL expiry: advance past the window, write, query — the answer
-	// must match a fresh node (the series may not serve past expiry).
-	now = now.Add(2 * time.Minute)
-	root.UpdateLocal(func(p *core.Peer) { p.Fact("ra1", "late", "v") })
+	// Instance replaced wholesale: UpdateLocal attaches a fresh journal,
+	// so the series (tracking the old one) must fall back.
+	ask()
+	before := root.Stats().IncrFallbacks
+	root.UpdateLocal(func(p *core.Peer) {
+		fresh := relation.NewInstanceIn(sys.Symtab())
+		fresh.AddAll(p.Inst)
+		fresh.Insert("ra0", relation.Tuple{"swapped", "v"})
+		p.Inst = fresh
+	})
+	if root.Peer.Inst.Journal() == nil {
+		t.Fatal("replaced instance got no journal")
+	}
 	got := ask()
-	want, err := freshAnswers(t, root, q, vars, false)
+	if root.Stats().IncrFallbacks == before {
+		t.Fatal("instance replacement did not invalidate the series")
+	}
+	want, err := testutil.Oracle(sys, root.Peer.ID, q, vars, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || !strings.Contains(fmt.Sprint(got), "swapped") {
+		t.Fatalf("post-replacement answers:\nserved %v\noracle %v", got, want)
+	}
+
+	// TTL expiry: advance past the window, write, query — the answer
+	// must match the oracle (the series may not serve past expiry).
+	now = now.Add(2 * time.Minute)
+	root.UpdateLocal(func(p *core.Peer) { p.Fact("ra1", "late", "v") })
+	got = ask()
+	if want, err = testutil.Oracle(sys, root.Peer.ID, q, vars, false); err != nil {
+		t.Fatal(err)
+	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("post-expiry answers diverge:\nserved %v\nfresh %v", got, want)
+		t.Fatalf("post-expiry answers diverge:\nserved %v\noracle %v", got, want)
 	}
 }
 
@@ -359,7 +382,7 @@ func TestDelegateSideCoalescingIncr(t *testing.T) {
 			<-gate
 			n := nodes[core.PeerID(fmt.Sprintf("R%d", i%2))]
 			q := foquery.MustParse(fmt.Sprintf("r%d(X,Y)", i%2))
-			answers[i], errs[i] = n.DelegatedAnswers(q, []string{"X", "Y"}, true)
+			answers[i], errs[i] = n.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true, Delegate: true})
 		}(i)
 	}
 	close(gate)
@@ -372,7 +395,7 @@ func TestDelegateSideCoalescingIncr(t *testing.T) {
 	for i := 0; i < 2*burst; i++ {
 		n := nodes[core.PeerID(fmt.Sprintf("R%d", i%2))]
 		q := foquery.MustParse(fmt.Sprintf("r%d(X,Y)", i%2))
-		want, err := n.PeerConsistentAnswersFor(q, []string{"X", "Y"}, true)
+		want, err := n.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{Transitive: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +403,8 @@ func TestDelegateSideCoalescingIncr(t *testing.T) {
 			t.Fatalf("burst query %d diverges:\ndelegated %v\ncentral   %v", i, answers[i], want)
 		}
 	}
-	leaders, coalesced := hubNode.CoalesceStats()
+	st := hubNode.Stats()
+	leaders, coalesced := st.CoalesceLeaders, st.Coalesced
 	if coalesced == 0 {
 		t.Fatalf("hub coalesced nothing across the burst (leaders=%d)", leaders)
 	}

@@ -25,25 +25,29 @@ import (
 //
 // A Node is safe for concurrent use: the neighbour table is guarded by
 // an internal lock (use SetNeighbor / NeighborAddr, not direct map
-// writes, once the node is shared between goroutines), and the
-// snapshot/relation caches are internally synchronized.
+// writes, once the node is shared between goroutines), and the spec,
+// relation and answer caches are internally synchronized.
 type Node struct {
 	Peer *core.Peer
 	Addr string
 	// Neighbors maps peer ids to addresses. It is guarded by mu;
 	// concurrent mutation must go through SetNeighbor.
 	Neighbors map[core.PeerID]string
-	// CacheTTL, when positive, caches assembled snapshots and fetched
-	// relations for that duration: repeated queries inside the window
-	// skip the network fan-out entirely. SetNeighbor invalidates the
-	// caches. Zero (the default) disables caching — every query sees
-	// the neighbours' live data, the seed behaviour.
+	// CacheTTL, when positive, caches fetched specifications and
+	// relations for that duration, so a repeated query inside the
+	// window makes no network calls, and lets an incremental
+	// re-answering series (incr.go) live that long. SetNeighbor evicts
+	// the changed peer's entries; local writes are visible at once.
+	// Zero (the default) disables both: every query reads the
+	// neighbours' live data. The answer cache is content-addressed and
+	// needs no TTL.
 	CacheTTL time.Duration
-	// Parallelism bounds the concurrent neighbour fetches of Snapshot
-	// and is forwarded to the answering engines (core.SolveOptions /
-	// program.RunOptions). 0 means GOMAXPROCS; 1 restores the fully
-	// sequential seed behaviour. Set before Start. The serving plane
-	// overrides it per query via QueryOptions.Parallelism.
+	// Parallelism bounds the concurrent neighbour fetches of SnapshotFor
+	// and of a delegation plan, and is the default engine parallelism of
+	// AnswerQuery (core.SolveOptions / program.RunOptions). 0 means
+	// GOMAXPROCS; 1 restores the fully sequential seed behaviour. Set
+	// before Start. QueryOptions.Parallelism overrides the engine part
+	// per query.
 	Parallelism int
 	// NoCoalesce disables in-flight request coalescing in AnswerQuery:
 	// identical concurrent queries then each run the solver. Coalescing
@@ -69,27 +73,23 @@ type Node struct {
 	// instance's read caches are only safe under concurrent *reads*.
 	dataMu sync.RWMutex
 
-	// delegated/delegFallbacks count DelegatedAnswers outcomes;
+	// delegated/delegFallbacks count delegated query outcomes;
 	// lastFallback (under mu) records the most recent fallback reason.
 	delegated      int64
 	delegFallbacks int64
 	lastFallback   string
 
 	cacheMu sync.Mutex
-	// snapGen is bumped by every SetNeighbor (assembled snapshots embed
-	// the overlay shape, so any neighbour change invalidates them);
 	// relGens advances per peer, so relation and spec cache entries of
 	// unrelated peers survive a neighbour update (relation-granular
 	// invalidation).
-	snapGen   uint64
 	relGens   map[core.PeerID]uint64
-	snapCache map[bool]*snapEntry // keyed by the transitive flag
 	relCache  map[string]*relEntry
 	specCache map[core.PeerID]*specEntry
 
-	// answers is the slice-keyed PCA cache of PeerConsistentAnswersFor:
-	// entries are content-addressed by (query, vars, slice signature,
-	// data fingerprint), so they need no invalidation — an update to an
+	// answers is the slice-keyed PCA cache of AnswerQuery: entries are
+	// content-addressed by (query, vars, slice signature, data
+	// fingerprint), so they need no invalidation — an update to an
 	// irrelevant relation leaves the key untouched and the entry valid.
 	answers *slice.AnswerCache
 
@@ -101,20 +101,17 @@ type Node struct {
 	flights slice.Flight
 
 	// incrSeries holds the live incremental re-answering series, one
-	// per repeated direct query shape (incr.go); the counters feed
-	// IncrStats.
+	// per repeated direct query shape (incr.go).
 	incrMu     sync.Mutex
 	incrSeries map[string]*incrSeries
 
+	// Instrumentation (atomics), read through Stats: incremental series
+	// outcomes, relation TTL cache outcomes, solver invocations and
+	// local writes.
 	incrPatched, incrSeeds, incrFallbacks int64
-
-	// Serving-plane instrumentation (atomics): TTL cache outcomes,
-	// solver invocations and local writes. Read via CacheStats /
-	// SolverRuns / LocalWrites.
-	snapHits, snapMisses int64
-	relHits, relMisses   int64
-	solverRuns           int64
-	localWrites          int64
+	relHits, relMisses                    int64
+	solverRuns                            int64
+	localWrites                           int64
 
 	// repairStats accumulates repair-engine counters (conflict
 	// component counts) across the direct-semantics queries this node
@@ -122,11 +119,6 @@ type Node struct {
 	repairStats repair.Stats
 
 	clock func() time.Time // test hook; nil means time.Now
-}
-
-type snapEntry struct {
-	sys     *core.System
-	expires time.Time
 }
 
 type relEntry struct {
@@ -196,18 +188,48 @@ func (n *Node) Stop() {
 	}
 }
 
+// Deploy starts one node per peer of the system on tr, each on ":0",
+// and makes every node a neighbour of every other. The returned stop
+// func stops every started node. If a node fails to start, the nodes
+// started before it are stopped and the error is returned; stop is
+// still safe to call. Tune CacheTTL, Parallelism and the A/B knobs on
+// the returned nodes before sharing them.
+func Deploy(sys *core.System, tr Transport) (map[core.PeerID]*Node, func(), error) {
+	nodes := make(map[core.PeerID]*Node, len(sys.Peers()))
+	stop := func() {
+		for _, n := range nodes {
+			n.Stop()
+		}
+	}
+	for _, id := range sys.Peers() {
+		p, _ := sys.Peer(id)
+		n := NewNode(p, tr, nil)
+		if err := n.Start(":0"); err != nil {
+			stop()
+			return nil, stop, fmt.Errorf("peernet: start %s: %w", id, err)
+		}
+		nodes[id] = n
+	}
+	for _, n := range nodes {
+		for id, m := range nodes {
+			if n != m {
+				n.SetNeighbor(id, m.BoundAddr())
+			}
+		}
+	}
+	return nodes, stop, nil
+}
+
 // UpdateLocal runs a mutation of the node's live peer (Fact inserts,
 // instance deletes, ...) under the node's data lock, serializing it
 // against concurrent request handling and snapshot cloning. Route every
 // write to a served peer's instance through here; mutating n.Peer
 // directly while the node is serving is a data race.
 //
-// A local write invalidates the node's own TTL snapshot cache: the
-// cached assembled systems embed this peer's (pre-write) data, so the
-// next query within the TTL must rebuild rather than answer from stale
-// facts. snapGen is bumped under the same critical section, so an
-// in-flight Snapshot build that cloned the pre-write instance cannot
-// store its result after the write. The per-peer relation generation
+// A local write is visible to the very next query: every query clones
+// the live peer afresh (the caches hold remote data only), the write
+// moves the data fingerprint of the answer cache, and live incremental
+// series replay it from the journal. The per-peer relation generation
 // advances too, guarding any caller that cached this peer's relations
 // on this node.
 func (n *Node) UpdateLocal(fn func(p *core.Peer)) {
@@ -220,8 +242,6 @@ func (n *Node) UpdateLocal(fn func(p *core.Peer)) {
 		n.Peer.Inst.SetJournal(relation.NewJournal(0))
 	}
 	n.cacheMu.Lock()
-	n.snapGen++
-	n.snapCache = nil
 	if n.relGens == nil {
 		n.relGens = make(map[core.PeerID]uint64)
 	}
@@ -233,26 +253,22 @@ func (n *Node) UpdateLocal(fn func(p *core.Peer)) {
 // localClone snapshots the live peer under the data lock: the returned
 // clone shares nothing mutable with the live instance, so snapshots and
 // exports built from it cannot race concurrent UpdateLocal writes (and
-// a TTL-cached snapshot can no longer change under its fingerprint).
+// a retained snapshot can no longer change under its fingerprint).
 func (n *Node) localClone() *core.Peer {
 	n.dataMu.RLock()
 	defer n.dataMu.RUnlock()
 	return n.Peer.Clone()
 }
 
-// SetNeighbor records (or updates) a neighbour address and invalidates
-// the caches touched by the change: assembled whole-overlay snapshots
-// are always dropped (they embed the overlay shape), but relation and
-// spec cache entries are evicted only for the changed peer — entries
-// of unrelated peers survive, so a neighbour update does not force
-// refetching the rest of the overlay.
+// SetNeighbor records (or updates) a neighbour address and evicts the
+// changed peer's relation and spec cache entries. Entries of unrelated
+// peers survive, so a neighbour update does not force refetching the
+// rest of the overlay.
 func (n *Node) SetNeighbor(id core.PeerID, addr string) {
 	n.mu.Lock()
 	n.Neighbors[id] = addr
 	n.mu.Unlock()
 	n.cacheMu.Lock()
-	n.snapGen++
-	n.snapCache = nil
 	if n.relGens == nil {
 		n.relGens = make(map[core.PeerID]uint64)
 	}
@@ -345,8 +361,8 @@ func (n *Node) handle(req Request) Response {
 			return errResp(err)
 		}
 		return Response{Tuples: tupleStrings(ans)}
-	case OpExport, OpExportSpec:
-		spec, err := n.exportSpec(req.Op == OpExport)
+	case OpExportSpec:
+		spec, err := n.exportSpec()
 		if err != nil {
 			return errResp(err)
 		}
@@ -361,9 +377,11 @@ func (n *Node) handle(req Request) Response {
 		if err != nil {
 			return errResp(err)
 		}
+		opt := QueryOptions{Transitive: req.Transitive, Parallelism: n.Parallelism}
 		var ans []relation.Tuple
-		switch {
-		case req.Delegate:
+		if !req.Delegate {
+			ans, err = n.AnswerQuery(f, req.Vars, opt)
+		} else {
 			// Coalesce identical delegated sub-queries: a burst of
 			// querying roots delegating the same atomic sub-query runs
 			// the delegate-side solve once and shares the answers. The
@@ -376,7 +394,7 @@ func (n *Node) handle(req Request) Response {
 			// already on the path is answered by fallback, not by a
 			// recursive flight on this node.
 			run := func() ([]relation.Tuple, error) {
-				a, _, derr := n.delegatedAnswers(f, req.Vars, req.Transitive,
+				a, _, derr := n.delegatedAnswers(f, req.Vars, opt,
 					req.HopBudget, appendVisited(req.Visited, n.Peer.ID))
 				return a, derr
 			}
@@ -387,10 +405,6 @@ func (n *Node) handle(req Request) Response {
 					strings.Join(req.Vars, ","), fmt.Sprint(req.Transitive)}, "\x00")
 				ans, _, err = n.flights.Do(dkey, run)
 			}
-		case req.Sliced:
-			ans, err = n.PeerConsistentAnswersFor(f, req.Vars, req.Transitive)
-		default:
-			ans, err = n.PeerConsistentAnswers(f, req.Vars, req.Transitive)
 		}
 		if err != nil {
 			return errResp(err)
@@ -420,78 +434,16 @@ func appendVisited(visited []string, id core.PeerID) []string {
 	return append(out, string(id))
 }
 
-// exportSpec renders this peer's specification as a single-peer system
-// fragment in the sysdsl format, with or without the facts. It formats
-// a clone taken under the data lock, so a concurrent local write cannot
-// race the rendering.
-func (n *Node) exportSpec(withFacts bool) (string, error) {
+// exportSpec renders this peer's specification (no facts) as a
+// single-peer system fragment in the sysdsl format. It formats a clone
+// taken under the data lock, so a concurrent local write cannot race
+// the rendering.
+func (n *Node) exportSpec() (string, error) {
 	frag := core.NewSystem()
 	if err := frag.AddPeer(n.localClone()); err != nil {
 		return "", err
 	}
-	if withFacts {
-		return sysdsl.Format(frag), nil
-	}
 	return sysdsl.FormatSpec(frag), nil
-}
-
-// Snapshot assembles a core.System from this peer and its (transitively
-// reachable, if requested) neighbours, fetching specifications over the
-// network. In the direct case only immediate neighbours are fetched and
-// their own DECs/trust are dropped (Definition 4 is a local notion); in
-// the transitive case the whole reachable overlay is fetched with
-// specifications intact (Section 4.3).
-//
-// Each BFS level is fetched concurrently on up to Parallelism workers,
-// and with CacheTTL > 0 an assembled snapshot is reused until it
-// expires. Queries never mutate a snapshot, so a cached system is safe
-// to share between concurrent readers.
-func (n *Node) Snapshot(transitive bool) (*core.System, error) {
-	if n.CacheTTL <= 0 {
-		return n.buildSnapshot(transitive)
-	}
-	n.cacheMu.Lock()
-	if e, ok := n.snapCache[transitive]; ok && n.now().Before(e.expires) {
-		n.cacheMu.Unlock()
-		atomic.AddInt64(&n.snapHits, 1)
-		return e.sys, nil
-	}
-	gen := n.snapGen
-	n.cacheMu.Unlock()
-	atomic.AddInt64(&n.snapMisses, 1)
-	// Build outside the lock: the fan-out can take multiple network
-	// round trips and must not serialize concurrent queries (or block
-	// SetNeighbor). Concurrent misses may build duplicate snapshots;
-	// the last store wins, which is harmless.
-	sys, err := n.buildSnapshot(transitive)
-	if err != nil {
-		return nil, err
-	}
-	n.cacheMu.Lock()
-	if n.snapGen == gen {
-		// Don't store a snapshot built against a neighbour table that
-		// SetNeighbor has invalidated since.
-		if n.snapCache == nil {
-			n.snapCache = make(map[bool]*snapEntry)
-		}
-		n.snapCache[transitive] = &snapEntry{sys: sys, expires: n.now().Add(n.CacheTTL)}
-	}
-	n.cacheMu.Unlock()
-	return sys, nil
-}
-
-func (n *Node) buildSnapshot(transitive bool) (*core.System, error) {
-	sys, _, err := n.snapshotBFS(transitive, func(id core.PeerID, addr string) (string, map[string]string, error) {
-		resp, err := n.tr.Call(addr, Request{Op: OpExport})
-		if err != nil {
-			return "", nil, err
-		}
-		if resp.Err != "" {
-			return "", nil, fmt.Errorf("peernet: export from %s: %s", id, resp.Err)
-		}
-		return resp.Spec, resp.Neighbors, nil
-	})
-	return sys, err
 }
 
 // specFragment is one fetched peer export: the sysdsl fragment plus
@@ -501,20 +453,22 @@ type specFragment struct {
 	neighbors map[string]string
 }
 
-// snapshotBFS is the shared snapshot walk: starting from the DEC
-// neighbours, each BFS level is fetched concurrently through the given
-// fetch callback and merged sequentially in level order, so the
-// assembled system (and any error) is deterministic. In the direct
-// case only immediate neighbours are fetched and their own DECs/trust
-// are dropped (Definition 4 is a local notion); in the transitive case
-// the whole reachable overlay is walked with specifications intact
-// (Section 4.3). It returns the validated system and every address
-// discovered along the way.
-func (n *Node) snapshotBFS(transitive bool, fetch func(id core.PeerID, addr string) (string, map[string]string, error)) (*core.System, map[core.PeerID]string, error) {
+// specSnapshot assembles the specification-only system of a snapshot:
+// starting from the DEC neighbours, each BFS level of OpExportSpec
+// fragments (no data) is fetched concurrently and merged sequentially
+// in level order, so the assembled system (and any error) is
+// deterministic. In the direct case only immediate neighbours are
+// fetched and their own DECs/trust are dropped (Definition 4 is a local
+// notion); in the transitive case the whole reachable overlay is walked
+// with specifications intact (Section 4.3). It returns the validated
+// system plus every address discovered, so the caller can fetch
+// relations of transitively reachable peers that are not in the local
+// neighbour table.
+func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]string, error) {
 	sys := core.NewSystem()
 	// The snapshot gets a clone of the live peer, not the peer itself:
-	// a snapshot (possibly TTL-cached and shared by in-flight queries)
-	// must not alias an instance a concurrent local write can mutate.
+	// a snapshot (possibly retained by an incremental series) must not
+	// alias an instance a concurrent local write can mutate.
 	if err := sys.AddPeer(n.localClone()); err != nil {
 		return nil, nil, err
 	}
@@ -543,7 +497,7 @@ func (n *Node) snapshotBFS(transitive bool, fetch func(id core.PeerID, addr stri
 			if !ok {
 				return specFragment{}, fmt.Errorf("peernet: no address known for peer %s", level[i])
 			}
-			spec, neigh, err := fetch(level[i], addr)
+			spec, neigh, err := n.fetchSpec(level[i], addr)
 			return specFragment{spec: spec, neighbors: neigh}, err
 		})
 		if err != nil {
@@ -607,23 +561,6 @@ func (n *Node) neighborIDs() []core.PeerID {
 	return out
 }
 
-// PeerConsistentAnswers answers a query posed to this peer with
-// Definition 5 semantics, gathering remote data over the network first.
-// With transitive=true the combined-program semantics of Section 4.3 is
-// used. The node's Parallelism is forwarded to the answering engine.
-func (n *Node) PeerConsistentAnswers(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
-	sys, err := n.Snapshot(transitive)
-	if err != nil {
-		return nil, err
-	}
-	if transitive {
-		return program.PeerConsistentAnswersViaLP(sys, n.Peer.ID, q, vars,
-			program.RunOptions{Transitive: true, Parallelism: n.Parallelism})
-	}
-	return core.PeerConsistentAnswers(sys, n.Peer.ID, q, vars,
-		core.SolveOptions{Parallelism: n.Parallelism})
-}
-
 // fetchSpec retrieves a peer's specification (schema, DECs, trust — no
 // facts) and its neighbour addresses, serving from the TTL spec cache
 // when enabled. Spec entries share the per-peer generation of the
@@ -661,17 +598,8 @@ func (n *Node) fetchSpec(id core.PeerID, addr string) (string, map[string]string
 	return resp.Spec, resp.Neighbors, nil
 }
 
-// specSnapshot assembles the specification-only system for a sliced
-// snapshot: the same BFS as buildSnapshot, but shipping OpExportSpec
-// fragments (no data). It returns the system plus every address
-// discovered, so the caller can fetch relations of transitively
-// reachable peers that are not in the local neighbour table.
-func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]string, error) {
-	return n.snapshotBFS(transitive, n.fetchSpec)
-}
-
-// SnapshotFor assembles the query-relevance-sliced counterpart of
-// Snapshot: specifications are fetched first (OpExportSpec, one
+// SnapshotFor assembles the query-relevance-sliced snapshot every query
+// answers over: specifications are fetched first (OpExportSpec, one
 // round-trip per peer, no data), the relevance slice of the query is
 // computed over them, and then only the relations in the slice travel —
 // one batched OpFetchBatch round-trip per relevant peer, served from
@@ -680,7 +608,7 @@ func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]stri
 // tuples at all. The returned system carries complete data for every
 // relation in the slice, so any engine restricted by the slice
 // (core.SolveOptions.KeepDep/RelevantRels, program counterparts)
-// answers exactly as over a full Snapshot.
+// answers exactly as over the whole overlay's data.
 func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *slice.Slice, error) {
 	sys, addrs, err := n.specSnapshot(transitive)
 	if err != nil {
@@ -714,46 +642,53 @@ func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *s
 	return sys, sl, nil
 }
 
-// QueryOptions tunes one query answered through AnswerQuery — the
-// serving plane's per-query knobs.
+// QueryOptions tunes one query answered through AnswerQuery.
 type QueryOptions struct {
 	// Transitive selects the Section 4.3 combined-program semantics;
 	// false is the direct Definition 5 semantics.
 	Transitive bool
-	// Parallelism budgets this query's engine and fan-out work,
-	// overriding the node-wide default: the serving plane divides the
-	// node's budget across its admitted queries so one expensive repair
-	// cannot claim every core. 0 inherits Node.Parallelism.
+	// Delegate answers through delegated distributed execution when
+	// that is provably exact (see delegatedAnswers) and through the
+	// centralized path otherwise; answers and errors are identical
+	// either way.
+	Delegate bool
+	// Parallelism budgets this query's engine work, overriding the
+	// node-wide default: the serving plane divides the node's budget
+	// across its admitted queries so one expensive repair cannot claim
+	// every core. 0 inherits Node.Parallelism.
 	Parallelism int
+	// Delegation, when non-nil with Delegate set, receives the report
+	// of how the query was answered. Purely observational.
+	Delegation *DelegationInfo
 }
 
-// PeerConsistentAnswersFor is the sliced counterpart of
-// PeerConsistentAnswers: the snapshot fetches only query-relevant
-// relations (SnapshotFor), the engines enforce only the constraints in
-// the slice, and the answers are cached under a (query, vars, slice
-// signature, data fingerprint) key. The key is content-addressed, so a
-// repeat query over unchanged relevant data is served without any
-// grounding or repair search — and an update to an irrelevant relation
-// does not evict it. Answers are identical to PeerConsistentAnswers.
-func (n *Node) PeerConsistentAnswersFor(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
-	return n.AnswerQuery(q, vars, QueryOptions{Transitive: transitive})
-}
-
-// AnswerQuery is PeerConsistentAnswersFor with per-query options, and
-// the entry point of the serving plane. On top of the content-addressed
-// answer cache it coalesces in-flight work: concurrent queries that
-// miss the cache under the same key join a single solver run
-// (singleflight) instead of repeating it — safe because the key embeds
+// AnswerQuery answers a query posed to this peer with peer-consistent
+// semantics (Definition 5, or Section 4.3 when opt.Transitive) over the
+// sliced snapshot of SnapshotFor: the engines enforce only the
+// constraints in the slice, and answers are cached under a
+// content-addressed (query, vars, slice signature, data fingerprint)
+// key, so a repeat query over unchanged relevant data skips grounding
+// and repair search, and an update to an irrelevant relation does not
+// evict it. Concurrent queries that miss the cache under the same key
+// join a single solver run (singleflight) — safe because the key embeds
 // the data fingerprint, so coalesced requests provably compute the same
-// answers. Every caller owns its returned tuples.
+// answers. A repeated direct query after local writes is patched from
+// the write journal when that is provably exact (incr.go). Every caller
+// owns its returned tuples.
 func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) ([]relation.Tuple, error) {
-	par := opt.Parallelism
-	if par == 0 {
-		par = n.Parallelism
+	if opt.Parallelism == 0 {
+		opt.Parallelism = n.Parallelism
+	}
+	if opt.Delegate {
+		ans, info, err := n.delegatedAnswers(q, vars, opt, DefaultHopBudget, []string{string(n.Peer.ID)})
+		if opt.Delegation != nil {
+			*opt.Delegation = info
+		}
+		return ans, err
 	}
 	incr := !opt.Transitive && !n.NoIncremental
 	if incr {
-		if ans, err, handled := n.incrAnswer(q, vars, par); handled {
+		if ans, err, handled := n.incrAnswer(q, vars, opt.Parallelism); handled {
 			return ans, err
 		}
 	}
@@ -799,13 +734,13 @@ func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) (
 		if opt.Transitive {
 			return program.PeerConsistentAnswersViaLP(sys, n.Peer.ID, q, vars, program.RunOptions{
 				Transitive:   true,
-				Parallelism:  par,
+				Parallelism:  opt.Parallelism,
 				KeepDep:      sl.KeepDep,
 				RelevantRels: sl.RelevantRels(),
 			})
 		}
 		return core.PeerConsistentAnswers(sys, n.Peer.ID, q, vars, core.SolveOptions{
-			Parallelism:  par,
+			Parallelism:  opt.Parallelism,
 			KeepDep:      sl.KeepDep,
 			RelevantRels: sl.RelevantRels(),
 			RepairStats:  &n.repairStats,
@@ -832,13 +767,13 @@ func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) (
 	return ans, nil
 }
 
-// DefaultHopBudget bounds the delegation depth of DelegatedAnswers:
+// DefaultHopBudget bounds the delegation depth of a delegated query:
 // each delegated hop decrements the budget, and a peer receiving 0
 // answers centrally. Deep overlays beyond the budget still answer
 // correctly — the tail is just computed centrally by the last delegate.
 const DefaultHopBudget = 8
 
-// DelegationInfo reports how DelegatedAnswers answered one query.
+// DelegationInfo reports how a delegated query was answered.
 type DelegationInfo struct {
 	// Delegated is true when the delegated plan ran to completion;
 	// false means the centralized sliced path answered (Reason says
@@ -854,56 +789,36 @@ type DelegationInfo struct {
 	SubTuples   int
 }
 
-// DelegatedAnswers answers a query posed to this peer with the same
-// peer-consistent semantics as PeerConsistentAnswers(For), but through
-// delegated distributed execution when that is provably exact: the
-// query's relevance slice is decomposed per owning peer
-// (slice.PlanDelegation), each repairing neighbour computes its own
-// peer consistent answers to atomic sub-queries over OpPCA (recursively
-// delegating in turn, within the hop budget), DEC-less data peers ship
-// raw relations, and the node solves the composed mini system
-// (core.ComposeDelegated) locally. The querying peer then receives
-// answer sets instead of raw upstream data, and the repair work runs
-// where the data lives.
+// delegatedAnswers answers a query with the same peer-consistent
+// semantics as the centralized path, but through delegated distributed
+// execution when that is provably exact: the query's relevance slice is
+// decomposed per owning peer (slice.PlanDelegation), each repairing
+// neighbour computes its own peer consistent answers to atomic
+// sub-queries over OpPCA (recursively delegating in turn, within the
+// hop budget), DEC-less data peers ship raw relations, and the node
+// solves the composed mini system (core.ComposeDelegated) locally. The
+// querying peer then receives answer sets instead of raw upstream data,
+// and the repair work runs where the data lives.
 //
 // Whenever the plan is refused (direct semantics, domain-dependent
 // slice, joint same-trust repair, non-forced remote constraints), a
 // remote call fails, a delegate is already on the delegation path
 // (cyclic overlay) or the composed solve errors, the node falls back to
-// the centralized sliced path — so answers and errors are byte-identical
-// to PeerConsistentAnswersFor in every case.
-func (n *Node) DelegatedAnswers(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
-	ans, _, err := n.delegatedAnswers(q, vars, transitive, DefaultHopBudget, []string{string(n.Peer.ID)})
-	return ans, err
-}
-
-// DelegatedAnswersInfo is DelegatedAnswers with the delegation report.
-func (n *Node) DelegatedAnswersInfo(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, DelegationInfo, error) {
-	return n.delegatedAnswers(q, vars, transitive, DefaultHopBudget, []string{string(n.Peer.ID)})
-}
-
-// DelegationStats reports how many DelegatedAnswers calls ran the
-// delegated plan vs fell back to the centralized path, and the most
-// recent fallback reason.
-func (n *Node) DelegationStats() (delegated, fallbacks int64, lastFallback string) {
-	n.mu.RLock()
-	last := n.lastFallback
-	n.mu.RUnlock()
-	return atomic.LoadInt64(&n.delegated), atomic.LoadInt64(&n.delegFallbacks), last
-}
-
-// delegatedAnswers implements DelegatedAnswers; budget and visited are
-// the cycle guards threaded through OpPCA requests.
-func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive bool, budget int, visited []string) ([]relation.Tuple, DelegationInfo, error) {
+// AnswerQuery with the caller's options — so answers and errors are
+// byte-identical to the centralized path in every case. budget and
+// visited are the cycle guards threaded through OpPCA requests.
+func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, opt QueryOptions, budget int, visited []string) ([]relation.Tuple, DelegationInfo, error) {
 	fallback := func(reason string) ([]relation.Tuple, DelegationInfo, error) {
 		atomic.AddInt64(&n.delegFallbacks, 1)
 		n.mu.Lock()
 		n.lastFallback = reason
 		n.mu.Unlock()
-		ans, err := n.PeerConsistentAnswersFor(q, vars, transitive)
+		central := opt
+		central.Delegate, central.Delegation = false, nil
+		ans, err := n.AnswerQuery(q, vars, central)
 		return ans, DelegationInfo{Reason: reason}, err
 	}
-	if !transitive {
+	if !opt.Transitive {
 		return fallback("direct semantics reads neighbour data raw (nothing to delegate)")
 	}
 	if budget <= 0 {
@@ -964,8 +879,8 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive boo
 			sub, subVars := foquery.AtomQuery(rel, decl.Arity)
 			resp, err := n.tr.Call(addr, Request{
 				Op: OpPCA, Query: sub.String(), Vars: subVars,
-				Transitive: true, Sliced: true,
-				Delegate: true, HopBudget: budget - 1, Visited: visited,
+				Transitive: true, Delegate: true,
+				HopBudget: budget - 1, Visited: visited,
 			})
 			if err != nil {
 				return nil, err
@@ -1006,7 +921,7 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive boo
 		return fallback(fmt.Sprintf("composition failed: %v", err))
 	}
 	ans, err := program.PeerConsistentAnswersViaLP(mini, n.Peer.ID, q, vars,
-		program.RunOptions{Transitive: true, Parallelism: n.Parallelism})
+		program.RunOptions{Transitive: true, Parallelism: opt.Parallelism})
 	if err != nil {
 		// A failed composed solve (e.g. the root has no solutions) falls
 		// back so the error is the centralized path's, byte for byte.
@@ -1023,47 +938,63 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive boo
 	return ans, info, nil
 }
 
-// AnswerCacheStats reports the hit/miss counters of the slice-keyed
-// answer cache used by PeerConsistentAnswersFor.
-func (n *Node) AnswerCacheStats() (hits, misses int64) {
+// Stats is a point-in-time snapshot of a node's counters. Every
+// non-delegated query is exactly one of an answer-cache hit, an
+// answer-cache miss or an incremental patch; a miss either leads a
+// solver run or joins one in flight (coalesced).
+type Stats struct {
+	// AnswerCacheHits and AnswerCacheMisses count the lookups of the
+	// content-addressed answer cache.
+	AnswerCacheHits, AnswerCacheMisses int64
+	// RelationCacheHits and RelationCacheMisses count the per-relation
+	// TTL cache outcomes; they only advance when CacheTTL > 0.
+	RelationCacheHits, RelationCacheMisses int64
+	// CoalesceLeaders counts the computations run through the in-flight
+	// group, Coalesced the requests that joined one instead.
+	CoalesceLeaders, Coalesced int64
+	// SolverRuns counts answering-engine invocations; LocalWrites counts
+	// UpdateLocal calls.
+	SolverRuns, LocalWrites int64
+	// RepairSearches, RepairLocalized and RepairComponents accumulate the
+	// repair-engine counters of the direct-semantics solves (the
+	// transitive LP path performs no repair search).
+	RepairSearches, RepairLocalized, RepairComponents int64
+	// IncrPatched counts queries answered by patching a live incremental
+	// series, IncrSeeded the series seedings and IncrFallbacks the
+	// series dropped by an invalidation or a failed exactness gate.
+	IncrPatched, IncrSeeded, IncrFallbacks int64
+	// Delegated and DelegationFallbacks count delegated queries that ran
+	// the plan and that fell back to the centralized path;
+	// LastDelegationFallback is the most recent fallback reason.
+	Delegated, DelegationFallbacks int64
+	LastDelegationFallback         string
+}
+
+// Stats reads the node's counters.
+func (n *Node) Stats() Stats {
+	s := Stats{
+		RelationCacheHits:   atomic.LoadInt64(&n.relHits),
+		RelationCacheMisses: atomic.LoadInt64(&n.relMisses),
+		SolverRuns:          atomic.LoadInt64(&n.solverRuns),
+		LocalWrites:         atomic.LoadInt64(&n.localWrites),
+		IncrPatched:         atomic.LoadInt64(&n.incrPatched),
+		IncrSeeded:          atomic.LoadInt64(&n.incrSeeds),
+		IncrFallbacks:       atomic.LoadInt64(&n.incrFallbacks),
+		Delegated:           atomic.LoadInt64(&n.delegated),
+		DelegationFallbacks: atomic.LoadInt64(&n.delegFallbacks),
+	}
 	n.cacheMu.Lock()
 	c := n.answers
 	n.cacheMu.Unlock()
-	if c == nil {
-		return 0, 0
+	if c != nil {
+		s.AnswerCacheHits, s.AnswerCacheMisses = c.Stats()
 	}
-	return c.Stats()
-}
-
-// CacheStats reports the TTL cache outcomes: assembled-snapshot cache
-// hits/misses (Snapshot) and per-relation cache hits/misses (the sliced
-// fetch paths). Counters only advance when CacheTTL > 0.
-func (n *Node) CacheStats() (snapHits, snapMisses, relHits, relMisses int64) {
-	return atomic.LoadInt64(&n.snapHits), atomic.LoadInt64(&n.snapMisses),
-		atomic.LoadInt64(&n.relHits), atomic.LoadInt64(&n.relMisses)
-}
-
-// CoalesceStats reports how many AnswerQuery computations ran (leaders)
-// and how many concurrent requests were absorbed into an in-flight
-// computation under the same content-addressed key (coalesced).
-func (n *Node) CoalesceStats() (leaders, coalesced int64) {
-	return n.flights.Stats()
-}
-
-// SolverRuns counts the answering-engine invocations of AnswerQuery —
-// queries that were served neither by the answer cache nor by joining
-// an in-flight computation.
-func (n *Node) SolverRuns() int64 { return atomic.LoadInt64(&n.solverRuns) }
-
-// LocalWrites counts UpdateLocal calls.
-func (n *Node) LocalWrites() int64 { return atomic.LoadInt64(&n.localWrites) }
-
-// RepairStats reports the repair-engine counters accumulated across the
-// direct-semantics queries this node answered: top-level searches,
-// conflict-localized engagements and total conflict components (the
-// transitive LP path performs no repair search).
-func (n *Node) RepairStats() (searches, localized, components int64) {
-	return n.repairStats.Snapshot()
+	s.CoalesceLeaders, s.Coalesced = n.flights.Stats()
+	s.RepairSearches, s.RepairLocalized, s.RepairComponents = n.repairStats.Snapshot()
+	n.mu.RLock()
+	s.LastDelegationFallback = n.lastFallback
+	n.mu.RUnlock()
+	return s
 }
 
 // FetchRelation retrieves a neighbour's relation over the network,

@@ -1,37 +1,79 @@
 package peernet
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/foquery"
 	"repro/internal/relation"
+	"repro/internal/testutil"
 )
 
 // startNetwork deploys every peer of a system as a node on the given
-// transport and wires up the neighbour addresses.
+// transport (Deploy) and stops the nodes when the test ends.
 func startNetwork(t *testing.T, sys *core.System, tr Transport) map[core.PeerID]*Node {
 	t.Helper()
-	nodes := map[core.PeerID]*Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := Deploy(sys, tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
+	t.Cleanup(stop)
+	return nodes
+}
+
+// failingListen fails every Listen after the first ok ones.
+type failingListen struct {
+	*InProc
+	ok int
+}
+
+func (f *failingListen) Listen(addr string, h Handler) (string, func(), error) {
+	if f.ok == 0 {
+		return "", nil, fmt.Errorf("injected: listen refused")
+	}
+	f.ok--
+	return f.InProc.Listen(addr, h)
+}
+
+// TestDeployConnectsAndStops: Deploy makes every node a neighbour of
+// every other, its stop func stops them all, and a node failing to
+// start stops the ones started before it.
+func TestDeployConnectsAndStops(t *testing.T) {
+	sys := core.Example1System()
+	tr := NewInProc()
+	nodes, stop, err := Deploy(sys, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, n := range nodes {
+		for mid, m := range nodes {
+			if addr, ok := n.NeighborAddr(mid); id != mid && (!ok || addr != m.BoundAddr()) {
+				t.Fatalf("%s knows %s at %q, want %q", id, mid, addr, m.BoundAddr())
 			}
 		}
 	}
-	return nodes
+	stop()
+	for id, n := range nodes {
+		if _, err := tr.Call(n.Addr, Request{Op: OpRelations}); err == nil {
+			t.Fatalf("node %s still serving after stop", id)
+		}
+	}
+
+	partial := &failingListen{InProc: NewInProc(), ok: 2}
+	nodes, stop, err = Deploy(sys, partial)
+	if err == nil || nodes != nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("Deploy with a failing listener: nodes=%v err=%v", nodes, err)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := partial.Call(fmt.Sprintf("inproc-%d", i), Request{Op: OpRelations}); err == nil {
+			t.Fatalf("node at inproc-%d still serving after a failed Deploy", i)
+		}
+	}
+	stop() // safe after a partial failure
 }
 
 func TestFetchAndQueryInProc(t *testing.T) {
@@ -54,7 +96,7 @@ func TestFetchAndQueryInProc(t *testing.T) {
 
 // TestNetworkedPCADirect runs Example 2 over the wire: the PCAs
 // computed by the node (which fetches P2's and P3's data remotely)
-// must equal the in-memory semantics.
+// must equal the in-memory semantics (testutil.Oracle).
 func TestNetworkedPCADirect(t *testing.T) {
 	sys := core.Example1System()
 	for name, tr := range map[string]Transport{
@@ -63,14 +105,17 @@ func TestNetworkedPCADirect(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			nodes := startNetwork(t, sys, tr)
-			ans, err := nodes["P1"].PeerConsistentAnswers(
-				foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
+			q := foquery.MustParse("r1(X,Y)")
+			ans, err := nodes["P1"].AnswerQuery(q, []string{"X", "Y"}, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := []relation.Tuple{{"a", "b"}, {"a", "e"}, {"c", "d"}}
 			if !reflect.DeepEqual(ans, want) {
 				t.Fatalf("networked PCAs = %v, want %v", ans, want)
+			}
+			if oracle, err := testutil.Oracle(sys, "P1", q, []string{"X", "Y"}, false); err != nil || !reflect.DeepEqual(ans, oracle) {
+				t.Fatalf("networked PCAs = %v, oracle %v (err %v)", ans, oracle, err)
 			}
 		})
 	}
@@ -89,7 +134,7 @@ func TestNetworkedPCATransitive(t *testing.T) {
 
 	// Direct case first: DEC (3) is vacuously satisfied (s1 empty), so
 	// every local tuple is a PCA.
-	direct, err := p.PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
+	direct, err := p.AnswerQuery(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +144,7 @@ func TestNetworkedPCATransitive(t *testing.T) {
 
 	// Transitive case: Q imports U(c,b) into S1, so P's R1(a,b) is no
 	// longer certain (it is deleted in one solution).
-	trans, err := p.PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, true)
+	trans, err := p.AnswerQuery(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +152,7 @@ func TestNetworkedPCATransitive(t *testing.T) {
 		t.Fatalf("transitive = %v, want none", trans)
 	}
 	// R2 gains no certain tuples either (insert differs per solution).
-	trans2, err := p.PeerConsistentAnswers(foquery.MustParse("r2(X,Y)"), []string{"X", "Y"}, true)
+	trans2, err := p.AnswerQuery(foquery.MustParse("r2(X,Y)"), []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +268,9 @@ func TestSnapshotMissingNeighbor(t *testing.T) {
 	sys := core.Example1System()
 	p1, _ := sys.Peer("P1")
 	n := NewNode(p1, NewInProc(), nil)
-	if _, err := n.Snapshot(false); err == nil {
-		t.Fatal("snapshot without neighbour addresses should fail")
+	_, _, err := n.SnapshotFor(foquery.MustParse("r1(X,Y)"), false)
+	if err == nil || !strings.Contains(err.Error(), "no address known") {
+		t.Fatalf("snapshot without neighbour addresses should fail, got %v", err)
 	}
 }
 
@@ -236,7 +282,7 @@ func TestNetworkedPCATransitiveTCP(t *testing.T) {
 	p := nodes["P"]
 	delete(p.Neighbors, "C") // force discovery through Q's export
 
-	trans, err := p.PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, true)
+	trans, err := p.AnswerQuery(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, QueryOptions{Transitive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/foquery"
+	"repro/internal/testutil"
 	"repro/internal/workload"
 )
 
-// TestSlicedAnswersEqualFull: PeerConsistentAnswersFor must return
-// byte-identical answers to PeerConsistentAnswers on the fixtures and
-// the wide-universe workload, in both the direct and transitive cases.
+// TestSlicedAnswersEqualFull: the node's sliced answers (AnswerQuery)
+// must be byte-identical to the unsliced engines over the in-memory
+// system (testutil.Oracle) on the fixtures and the wide-universe
+// workload, in both the direct and transitive cases.
 func TestSlicedAnswersEqualFull(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -37,11 +39,11 @@ func TestSlicedAnswersEqualFull(t *testing.T) {
 			nodes := startNetwork(t, tc.sys, NewInProc())
 			n := nodes[tc.peer]
 			q := foquery.MustParse(tc.query)
-			want, err := n.PeerConsistentAnswers(q, tc.vars, tc.transitive)
+			want, err := testutil.Oracle(tc.sys, tc.peer, q, tc.vars, tc.transitive)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := n.PeerConsistentAnswersFor(q, tc.vars, tc.transitive)
+			got, err := n.AnswerQuery(q, tc.vars, QueryOptions{Transitive: tc.transitive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +75,8 @@ func TestSnapshotForFetchesOnlySlice(t *testing.T) {
 	if !reflect.DeepEqual(fetched, []string{"c0"}) {
 		t.Fatalf("fetched relations %v, want [c0]", fetched)
 	}
-	if tr.count(OpExport) != 0 {
-		t.Fatal("sliced snapshot must not use full exports")
+	if other := len(tr.ops) - tr.count(OpExportSpec) - tr.count(OpFetchBatch); other != 0 {
+		t.Fatalf("sliced snapshot used ops %v, want only spec exports and batched fetches", tr.ops)
 	}
 	// The snapshot still knows every peer (schemas and constraints for
 	// validation), just without bystander data.
@@ -98,31 +100,31 @@ func TestAnswerCacheSurvivesIrrelevantUpdate(t *testing.T) {
 	q := foquery.MustParse("q0(X,Y)")
 	vars := []string{"X", "Y"}
 
-	first, err := root.PeerConsistentAnswersFor(q, vars, false)
+	first, err := root.AnswerQuery(q, vars, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := root.AnswerCacheStats(); hits != 0 || misses != 1 {
-		t.Fatalf("cold query: hits=%d misses=%d", hits, misses)
+	if st := root.Stats(); st.AnswerCacheHits != 0 || st.AnswerCacheMisses != 1 {
+		t.Fatalf("cold query: hits=%d misses=%d", st.AnswerCacheHits, st.AnswerCacheMisses)
 	}
 	// Irrelevant update: bystander relation changes, cache still hits.
 	b0, _ := sys.Peer("B0")
 	b0.Fact("b0_r0", "new_key", "new_val")
-	again, err := root.PeerConsistentAnswersFor(q, vars, false)
+	again, err := root.AnswerQuery(q, vars, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, first) {
 		t.Fatalf("answers changed after irrelevant update: %v vs %v", again, first)
 	}
-	if hits, _ := root.AnswerCacheStats(); hits != 1 {
+	if hits := root.Stats().AnswerCacheHits; hits != 1 {
 		t.Fatalf("irrelevant update evicted the cached answers (hits=%d)", hits)
 	}
 	// Relevant update: c0 gains a tuple that must show up as a forced
 	// import — the fingerprint moves, the cache misses, answers change.
 	pc, _ := sys.Peer("PC")
 	pc.Fact("c0", "fresh", "fresh_v")
-	updated, err := root.PeerConsistentAnswersFor(q, vars, false)
+	updated, err := root.AnswerQuery(q, vars, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestAnswerCacheSurvivesIrrelevantUpdate(t *testing.T) {
 	if !found {
 		t.Fatalf("imported tuple missing from fresh answers: %v", updated)
 	}
-	if _, misses := root.AnswerCacheStats(); misses != 2 {
+	if misses := root.Stats().AnswerCacheMisses; misses != 2 {
 		t.Fatalf("relevant update should have missed (misses=%d)", misses)
 	}
 }
@@ -202,25 +204,28 @@ func TestOpExportSpecOmitsFacts(t *testing.T) {
 	}
 }
 
-// TestOpPCASliced: the wire-level sliced PCA answers match the
-// unsliced op.
+// TestOpPCASliced: the wire-level PCA answers (served through the
+// sliced AnswerQuery path) match the in-memory oracle under both
+// semantics.
 func TestOpPCASliced(t *testing.T) {
 	sys := core.Example1System()
 	tr := NewInProc()
 	nodes := startNetwork(t, sys, tr)
-	full, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sliced, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}, Sliced: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Err != "" || sliced.Err != "" {
-		t.Fatalf("errs: %q / %q", full.Err, sliced.Err)
-	}
-	if !reflect.DeepEqual(sliced.Tuples, full.Tuples) {
-		t.Fatalf("sliced op answers %v != %v", sliced.Tuples, full.Tuples)
+	for _, transitive := range []bool{false, true} {
+		resp, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}, Transitive: transitive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		want, err := testutil.Oracle(sys, "P1", foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, transitive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Tuples, tupleStrings(want)) {
+			t.Fatalf("transitive=%v: op answers %v != oracle %v", transitive, resp.Tuples, want)
+		}
 	}
 }
 

@@ -36,16 +36,14 @@ const (
 	// OpQuery evaluates a first-order query over the peer's local
 	// instance (no repair semantics; the remote peer's raw data).
 	OpQuery Op = "query"
-	// OpExport returns the peer's specification (schema, facts, DECs,
-	// trust) in the sysdsl format plus its neighbour addresses.
-	OpExport Op = "export"
-	// OpExportSpec returns the specification without facts (schema,
-	// DECs, trust, neighbour addresses only): the cheap first round of
-	// a query-relevance-sliced snapshot, which plans which relations to
-	// fetch before any data moves.
+	// OpExportSpec returns the peer's specification without facts
+	// (schema, DECs, trust) in the sysdsl format plus its neighbour
+	// addresses: the cheap first round of a query-relevance-sliced
+	// snapshot, which plans which relations to fetch before any data
+	// moves.
 	OpExportSpec Op = "exportspec"
 	// OpPCA asks the remote peer for its own peer consistent answers
-	// to an atomic query (peer-to-peer query delegation).
+	// to a query (Node.AnswerQuery; peer-to-peer query delegation).
 	OpPCA Op = "pca"
 )
 
@@ -59,14 +57,8 @@ type Request struct {
 	Vars  []string
 	// Transitive selects the Section 4.3 semantics for OpPCA.
 	Transitive bool
-	// Sliced asks OpPCA to answer through the query-relevance-sliced
-	// pipeline (Node.PeerConsistentAnswersFor): the remote peer then
-	// fetches only the relations its slice needs and may serve the
-	// answers from its slice-keyed cache. Answers are identical either
-	// way.
-	Sliced bool
 	// Delegate asks OpPCA to answer through the delegated distributed
-	// path (Node.DelegatedAnswers): the remote peer decomposes its own
+	// path (QueryOptions.Delegate): the remote peer decomposes its own
 	// relevance slice per owning peer and fans the sub-queries out in
 	// turn, falling back to its centralized sliced path whenever
 	// delegation is not provably exact. Answers are identical either

@@ -13,11 +13,11 @@
 // reads (copy-on-write instance clones), a content-addressed answer
 // cache, and in-flight coalescing of identical concurrent queries
 // (singleflight on the slice/fingerprint answer key). Local writes go
-// through Write -> Node.UpdateLocal, which invalidates the node's
-// snapshot cache — a write is visible to the next query, with no TTL
-// staleness window on the served peer's own data. (Remote peers' data
-// is still read through the TTL caches; that freshness bound is the
-// documented CacheTTL semantics, not a serving-plane artifact.)
+// through Write -> Node.UpdateLocal and are visible to the next query,
+// with no TTL staleness window on the served peer's own data. (Remote
+// peers' data is still read through the TTL caches; that freshness
+// bound is the documented CacheTTL semantics, not a serving-plane
+// artifact.)
 package serve
 
 import (
@@ -148,21 +148,30 @@ func New(node *peernet.Node, cfg Config) *Server {
 		}
 		return float64(s.queries.Value()) / secs
 	})
-	stat := func(name string, read func() int64) { reg.Func(name, func() float64 { return float64(read()) }) }
-	stat("node_answer_cache_hits", func() int64 { h, _ := node.AnswerCacheStats(); return h })
-	stat("node_answer_cache_misses", func() int64 { _, m := node.AnswerCacheStats(); return m })
-	stat("node_snapshot_cache_hits", func() int64 { h, _, _, _ := node.CacheStats(); return h })
-	stat("node_snapshot_cache_misses", func() int64 { _, m, _, _ := node.CacheStats(); return m })
-	stat("node_relation_cache_hits", func() int64 { _, _, h, _ := node.CacheStats(); return h })
-	stat("node_relation_cache_misses", func() int64 { _, _, _, m := node.CacheStats(); return m })
-	stat("node_coalesce_leaders", func() int64 { l, _ := node.CoalesceStats(); return l })
-	stat("node_coalesced_total", func() int64 { _, c := node.CoalesceStats(); return c })
-	stat("node_solver_runs_total", node.SolverRuns)
-	stat("node_local_writes_total", node.LocalWrites)
-	stat("repair_searches_total", func() int64 { n, _, _ := node.RepairStats(); return n })
-	stat("repair_localized_total", func() int64 { _, n, _ := node.RepairStats(); return n })
-	stat("repair_components_total", func() int64 { _, _, n := node.RepairStats(); return n })
+	for _, m := range nodeMetrics {
+		read := m.read
+		reg.Func(m.name, func() float64 { return float64(read(node.Stats())) })
+	}
 	return s
+}
+
+// nodeMetrics maps the node's counters (peernet.Stats) to their
+// metrics series.
+var nodeMetrics = []struct {
+	name string
+	read func(peernet.Stats) int64
+}{
+	{"node_answer_cache_hits", func(s peernet.Stats) int64 { return s.AnswerCacheHits }},
+	{"node_answer_cache_misses", func(s peernet.Stats) int64 { return s.AnswerCacheMisses }},
+	{"node_relation_cache_hits", func(s peernet.Stats) int64 { return s.RelationCacheHits }},
+	{"node_relation_cache_misses", func(s peernet.Stats) int64 { return s.RelationCacheMisses }},
+	{"node_coalesce_leaders", func(s peernet.Stats) int64 { return s.CoalesceLeaders }},
+	{"node_coalesced_total", func(s peernet.Stats) int64 { return s.Coalesced }},
+	{"node_solver_runs_total", func(s peernet.Stats) int64 { return s.SolverRuns }},
+	{"node_local_writes_total", func(s peernet.Stats) int64 { return s.LocalWrites }},
+	{"repair_searches_total", func(s peernet.Stats) int64 { return s.RepairSearches }},
+	{"repair_localized_total", func(s peernet.Stats) int64 { return s.RepairLocalized }},
+	{"repair_components_total", func(s peernet.Stats) int64 { return s.RepairComponents }},
 }
 
 // Registry exposes the server's metrics registry (also mounted at
@@ -270,8 +279,8 @@ func (s *Server) AnswerString(query string, vars []string, transitive bool) ([]r
 }
 
 // Write inserts a fact into the served peer through UpdateLocal: the
-// snapshot cache is invalidated and the data fingerprint moves, so the
-// write is visible to the very next query. The relation must be
+// data fingerprint moves, so the write is visible to the very next
+// query. The relation must be
 // declared by the peer with matching arity.
 func (s *Server) Write(rel string, tuple []string) error {
 	var werr error

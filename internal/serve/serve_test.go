@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,31 +18,27 @@ import (
 	"repro/internal/foquery"
 	"repro/internal/peernet"
 	"repro/internal/relation"
+	"repro/internal/testutil"
 )
 
-// newTestServer deploys Example1 as an in-proc overlay and serves P1.
+// deployExample1 deploys Example1 as an in-proc overlay with the given
+// link latency and returns the P1 node.
+func deployExample1(t *testing.T, latency time.Duration) *peernet.Node {
+	t.Helper()
+	tr := peernet.NewInProc()
+	tr.Latency = latency
+	nodes, stop, err := peernet.Deploy(core.Example1System(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	return nodes["P1"]
+}
+
+// newTestServer deploys Example1 and serves P1 with the TTL caches on.
 func newTestServer(t *testing.T, cfg Config) (*Server, *peernet.Node) {
 	t.Helper()
-	sys := core.Example1System()
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
-	served := nodes["P1"]
+	served := deployExample1(t, 0)
 	served.CacheTTL = time.Minute
 	return New(served, cfg), served
 }
@@ -64,23 +61,68 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestAnswerMatchesNode pins the serving-plane contract: a served query
-// returns exactly what the one-shot node path computes.
+// returns exactly the paper's answer, computed by the engines over the
+// in-memory system (testutil.Oracle), under both semantics.
 func TestAnswerMatchesNode(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxConcurrent: 2})
+	q := foquery.MustParse("r1(X,Y)")
+	for _, transitive := range []bool{false, true} {
+		got, err := srv.AnswerString(q.String(), []string{"X", "Y"}, transitive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := testutil.Oracle(core.Example1System(), "P1", q, []string{"X", "Y"}, transitive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("transitive=%v: served answers %v != oracle answers %v", transitive, got, want)
+		}
+	}
+	if srv.Registry().Counter("serve_queries_total").Value() != 2 {
+		t.Fatal("query counter did not advance")
+	}
+	if _, err := srv.AnswerString("r1(X,", []string{"X"}, false); err == nil {
+		t.Fatal("AnswerString accepted a malformed query")
+	}
+}
+
+// TestNodeMetricsTrackStats: every node_*/repair_* series reads its
+// peernet.Stats field.
+func TestNodeMetricsTrackStats(t *testing.T) {
 	srv, node := newTestServer(t, Config{MaxConcurrent: 2})
 	q := foquery.MustParse("r1(X,Y)")
-	got, err := srv.Answer(q, []string{"X", "Y"}, false)
-	if err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := srv.Answer(q, []string{"X", "Y"}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Write("r1", []string{"m", "n"}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := node.PeerConsistentAnswersFor(q, []string{"X", "Y"}, false)
-	if err != nil {
-		t.Fatal(err)
+	st := node.Stats()
+	var b strings.Builder
+	srv.WriteMetrics(&b)
+	for name, want := range map[string]int64{
+		"node_answer_cache_hits":     st.AnswerCacheHits,
+		"node_answer_cache_misses":   st.AnswerCacheMisses,
+		"node_relation_cache_hits":   st.RelationCacheHits,
+		"node_relation_cache_misses": st.RelationCacheMisses,
+		"node_coalesce_leaders":      st.CoalesceLeaders,
+		"node_coalesced_total":       st.Coalesced,
+		"node_solver_runs_total":     st.SolverRuns,
+		"node_local_writes_total":    st.LocalWrites,
+		"repair_searches_total":      st.RepairSearches,
+		"repair_localized_total":     st.RepairLocalized,
+		"repair_components_total":    st.RepairComponents,
+	} {
+		line := fmt.Sprintf("%s %d\n", name, want)
+		if !strings.Contains(b.String(), line) {
+			t.Fatalf("metrics lack %q:\n%s", line, b.String())
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("served answers %v != node answers %v", got, want)
-	}
-	if srv.Registry().Counter("serve_queries_total").Value() != 1 {
-		t.Fatal("query counter did not advance")
+	if st.AnswerCacheHits != 2 || st.AnswerCacheMisses != 1 || st.LocalWrites != 1 || st.RepairSearches == 0 {
+		t.Fatalf("stats = %+v, want 2 hits, 1 miss, 1 write, some repair searches", st)
 	}
 }
 
@@ -320,8 +362,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	// Writes are idempotent re-inserts of the same fact after the first,
 	// but every call still goes through UpdateLocal.
-	if node.LocalWrites() != 4 {
-		t.Fatalf("node writes = %d", node.LocalWrites())
+	if w := node.Stats().LocalWrites; w != 4 {
+		t.Fatalf("node writes = %d", w)
 	}
 }
 
@@ -329,27 +371,8 @@ func TestConcurrentMixedLoad(t *testing.T) {
 // request still waiting in the admission queue complete, then reports
 // drained; arrivals after Stop are shed with ErrStopping.
 func TestStopDrainsQueuedIncr(t *testing.T) {
-	sys := core.Example1System()
-	tr := peernet.NewInProc()
-	tr.Latency = 20 * time.Millisecond // remote fan-out makes the first query slow
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
-	srv := New(nodes["P1"], Config{MaxConcurrent: 1, MaxQueue: 4, DrainTimeout: 5 * time.Second})
+	// Remote fan-out over a slow link makes the first query slow.
+	srv := New(deployExample1(t, 20*time.Millisecond), Config{MaxConcurrent: 1, MaxQueue: 4, DrainTimeout: 5 * time.Second})
 
 	q := foquery.MustParse("r1(X,Y)")
 	vars := []string{"X", "Y"}
@@ -403,27 +426,7 @@ func TestStopDrainsQueuedIncr(t *testing.T) {
 // TestStopDrainTimeoutIncr: a query slower than DrainTimeout makes
 // Stop return false without cancelling the work.
 func TestStopDrainTimeoutIncr(t *testing.T) {
-	sys := core.Example1System()
-	tr := peernet.NewInProc()
-	tr.Latency = 150 * time.Millisecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
-	srv := New(nodes["P1"], Config{MaxConcurrent: 1, DrainTimeout: 10 * time.Millisecond})
+	srv := New(deployExample1(t, 150*time.Millisecond), Config{MaxConcurrent: 1, DrainTimeout: 10 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.Answer(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)

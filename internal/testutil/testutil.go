@@ -3,7 +3,8 @@
 // for one (system, peer, query) triple — repairs/solutions, the ground
 // program, stable models and both routes' consistent answers — into a
 // single canonical byte string, so tests can assert that every
-// parallelism level produces byte-identical results.
+// parallelism level produces byte-identical results. It also provides
+// the oracle the networked answering path is tested against.
 package testutil
 
 import (
@@ -17,6 +18,7 @@ import (
 	"repro/internal/lp/ground"
 	"repro/internal/lp/solve"
 	"repro/internal/program"
+	"repro/internal/relation"
 )
 
 // DefaultLevels is the parallelism sweep of the determinism stress
@@ -102,4 +104,16 @@ func RequireParallelismInvariant(t *testing.T, name string, build func() *core.S
 				name, levels[0], par, levels[0], want, par, got)
 		}
 	}
+}
+
+// Oracle answers a query posed to a peer with the paper's semantics
+// over the in-memory system, with no network, slicing or cache in
+// between: core.PeerConsistentAnswers (Definition 5) for direct
+// queries, the combined program of Section 4.3 for transitive ones.
+// Tests of peernet.Node.AnswerQuery use it as the reference answer.
+func Oracle(s *core.System, id core.PeerID, q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
+	if transitive {
+		return program.PeerConsistentAnswersViaLP(s, id, q, vars, program.RunOptions{Transitive: true})
+	}
+	return core.PeerConsistentAnswers(s, id, q, vars, core.SolveOptions{})
 }
