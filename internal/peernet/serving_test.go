@@ -20,52 +20,56 @@ import (
 // up to CacheTTL — the write moves the data fingerprint the answer
 // cache is keyed by, and the caches hold remote data only.
 func TestUpdateLocalInvalidatesSnapshotCache(t *testing.T) {
-	sys := core.Example1System()
-	nodes := startNetwork(t, sys, NewInProc())
-	p1 := nodes["P1"]
-	now := time.Unix(1000, 0)
-	p1.clock = func() time.Time { return now }
-	p1.CacheTTL = time.Minute
-	q := foquery.MustParse("r1(X,Y)")
-	ask := func() []relation.Tuple {
-		t.Helper()
-		ans, err := p1.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{})
+	// The remaining answering path slices its snapshot per query; the
+	// unsliced path this test once also pinned is gone.
+	t.Run("sliced", func(t *testing.T) {
+		sys := core.Example1System()
+		nodes := startNetwork(t, sys, NewInProc())
+		p1 := nodes["P1"]
+		now := time.Unix(1000, 0)
+		p1.clock = func() time.Time { return now }
+		p1.CacheTTL = time.Minute
+		q := foquery.MustParse("r1(X,Y)")
+		ask := func() []relation.Tuple {
+			t.Helper()
+			ans, err := p1.AnswerQuery(q, []string{"X", "Y"}, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ans
+		}
+		before := ask()
+		ask() // make sure the TTL caches are warm before the write
+
+		p1.UpdateLocal(func(p *core.Peer) { p.Fact("r1", "fresh", "f") })
+
+		// Still inside the TTL window: the write must be visible.
+		got := ask()
+		if len(got) != len(before)+1 {
+			t.Fatalf("post-write answers %v, want %v plus (fresh,f)", got, before)
+		}
+		found := false
+		for _, tu := range got {
+			if tu.Equal(relation.Tuple{"fresh", "f"}) {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("written fact not visible within TTL: %v", got)
+		}
+
+		// And they must match the in-memory oracle over the same peers.
+		want, err := testutil.Oracle(sys, "P1", q, []string{"X", "Y"}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ans
-	}
-	before := ask()
-	ask() // make sure the TTL caches are warm before the write
-
-	p1.UpdateLocal(func(p *core.Peer) { p.Fact("r1", "fresh", "f") })
-
-	// Still inside the TTL window: the write must be visible.
-	got := ask()
-	if len(got) != len(before)+1 {
-		t.Fatalf("post-write answers %v, want %v plus (fresh,f)", got, before)
-	}
-	found := false
-	for _, tu := range got {
-		if tu.Equal(relation.Tuple{"fresh", "f"}) {
-			found = true
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("within-TTL answers %v != oracle answers %v", got, want)
 		}
-	}
-	if !found {
-		t.Fatalf("written fact not visible within TTL: %v", got)
-	}
-
-	// And they must match the in-memory oracle over the same peers.
-	want, err := testutil.Oracle(sys, "P1", q, []string{"X", "Y"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("within-TTL answers %v != oracle answers %v", got, want)
-	}
-	if w := p1.Stats().LocalWrites; w != 1 {
-		t.Fatalf("LocalWrites = %d, want 1", w)
-	}
+		if w := p1.Stats().LocalWrites; w != 1 {
+			t.Fatalf("LocalWrites = %d, want 1", w)
+		}
+	})
 }
 
 // TestSchemaMutatingUpdateLocalVsRequestsRace grows the served peer's
