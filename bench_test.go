@@ -340,6 +340,46 @@ func BenchmarkB6NetworkParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmHit measures a repeated query over unchanged data at P0
+// of Chain(4,50) with warm TTL caches (run with -benchmem). The
+// transitive row is a warm-hit probe: the answer key is rebuilt from the
+// memoized slice, the root's relation hashes and the cached relations,
+// with no snapshot. The direct row is answered by its incremental
+// series, which the probe leaves alone.
+func BenchmarkWarmHit(b *testing.B) {
+	nodes, stop, err := peernet.Deploy(workload.Chain(4, 50, 1), peernet.NewInProc())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(stop)
+	root := nodes["P0"]
+	root.CacheTTL = time.Hour
+	q := foquery.MustParse("t0(X,Y)")
+	vars := []string{"X", "Y"}
+	for _, transitive := range []bool{false, true} {
+		name, opt := "direct", peernet.QueryOptions{Transitive: transitive}
+		if transitive {
+			name = "transitive"
+		}
+		b.Run(name, func(b *testing.B) {
+			// The first answer solves, the first repeat hashes the
+			// cached relations once.
+			for i := 0; i < 2; i++ {
+				if _, err := root.AnswerQuery(q, vars, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := root.AnswerQuery(q, vars, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkB7ChoiceUnfolding measures the choice-unfolding pipeline.
 func BenchmarkB7ChoiceUnfolding(b *testing.B) {
 	for _, v := range []int{1, 3, 5} {

@@ -43,7 +43,7 @@
 //     LP route (grounder included);
 //   - peernet.Node.Parallelism fetches neighbour specifications
 //     concurrently per BFS level, and peernet.Node.CacheTTL caches
-//     assembled snapshots and fetched relations for a TTL window
+//     fetched specifications and relations for a TTL window
 //     (SetNeighbor invalidates). Node is safe for concurrent use.
 //
 // All three CLIs surface the knob as -parallelism.
@@ -153,9 +153,21 @@
 //     answers under a content-addressed (query, vars, slice signature,
 //     data fingerprint) key (slice.AnswerCache): repeat queries over
 //     unchanged relevant data skip grounding and repair entirely, and
-//     an update to an irrelevant relation does not evict them. TTL
-//     cache invalidation is relation-granular: SetNeighbor evicts only
-//     the changed peer's relation/spec entries.
+//     an update to an irrelevant relation does not evict them. The
+//     signature names every enforced constraint and digests its
+//     rendering and mutable predicates, so a spec change that can
+//     change answers (a trust change included) changes the key. With
+//     TTL caches on, a repeated query that cannot seed an incremental
+//     series (every transitive query, and direct ones under
+//     NoIncremental) probes the cache first, under the key rebuilt
+//     without a snapshot: its slice is memoized per (query, vars,
+//     semantics) while the root's spec signature and the spec-cache
+//     entries it was computed over are unchanged, and the fingerprint
+//     composes the root relations' live hashes with a content hash
+//     kept on each cached remote relation (slice.Fingerprint, shared
+//     with DataFingerprint, so the key is byte-identical). TTL cache
+//     invalidation is relation-granular: SetNeighbor evicts only the
+//     changed peer's relation/spec entries.
 //
 // Slicing is semantics-preserving — minimal repairs factor over
 // disjoint constraint components, and the slice covers every component
@@ -325,14 +337,17 @@
 //     text exposition format at /metrics and dumped by -stats on
 //     shutdown: qps, query/write totals, p50/p99 latency, shed count,
 //     queue depth, answer-cache hit rate, coalesce and solver-run
-//     counters, repair-search component statistics — the node's
-//     series are registered from one peernet.Stats table.
+//     counters, repair-search component statistics, incremental
+//     patches, seedings and fallbacks, delegated runs and delegation
+//     fallbacks — the node's series are registered from one
+//     peernet.Stats table, every counter of it.
 //
 // Write visibility is the serving plane's freshness guarantee: local
 // writes go through Server.Write -> Node.UpdateLocal, and every query
-// reads the live peer (a fresh clone, or the write journal replayed
-// onto a retained snapshot; the TTL caches hold remote specs and
-// relations only), so a write is visible to the very next query — no
+// reads the live peer (a fresh clone, the write journal replayed onto
+// a retained snapshot, or on a warm hit the live relation hashes; the
+// TTL caches hold remote specs and relations only), so a write is
+// visible to the very next query — no
 // staleness window on the served peer's own data. (Remote peers' data
 // is still read through the TTL caches; that freshness bound is the
 // documented CacheTTL semantics, not a serving-plane artifact.) Queries
@@ -343,9 +358,10 @@
 // the engines over the in-memory system, and the coalescing A/B.
 //
 // Server.Stop drains before shutdown: new queries are rejected
-// immediately (ErrStopping) while both the in-flight queries and the
-// already-admitted queue are given Config.DrainTimeout to complete, so
-// a restart does not throw away work the server already accepted.
+// immediately (ErrStopping, HTTP 503) while both the in-flight queries
+// and the already-admitted queue are given Config.DrainTimeout to
+// complete, so a restart does not throw away work the server already
+// accepted.
 // Delegated sub-answering coalesces too: a peer answering OpPCA
 // delegate requests runs them through the same in-flight group as its
 // own queries (keyed separately), so a burst of roots delegating the
@@ -405,6 +421,15 @@
 // exactly once, under -race and at parallelism 1 and 4.
 //
 // # Answer-path costs
+//
+// A warm hit skips the snapshot: a repeated transitive query (or a
+// direct one under NoIncremental) over unchanged relevant data costs a
+// plan lookup, one cached hash per relevant relation and the answer
+// copy, whatever the data size (BenchmarkWarmHit). The probe hashes a
+// cached remote relation once, on the first repeat that reads it, so a
+// query's first answer does no new hashing. Only a miss assembles the
+// snapshot, and it computes its own slice, since KeepDep compares
+// dependencies by identity.
 //
 // Definition 5 evaluates the query once per repair, and the repair
 // search re-checks dependencies once per search state, so three kernels

@@ -36,9 +36,13 @@ type Node struct {
 	// CacheTTL, when positive, caches fetched specifications and
 	// relations for that duration, so a repeated query inside the
 	// window makes no network calls, and lets an incremental
-	// re-answering series (incr.go) live that long. SetNeighbor evicts
-	// the changed peer's entries; local writes are visible at once.
-	// Zero (the default) disables both: every query reads the
+	// re-answering series (incr.go) live that long. A repeated query
+	// that cannot seed a series (every transitive query, and direct ones
+	// under NoIncremental) is first looked up in the answer cache under
+	// a key rebuilt from its memoized slice and the cached relations,
+	// without assembling a snapshot (plan.go). SetNeighbor evicts the
+	// changed peer's entries; local writes are visible at once. Zero
+	// (the default) disables all three: every query reads the
 	// neighbours' live data. The answer cache is content-addressed and
 	// needs no TTL.
 	CacheTTL time.Duration
@@ -87,6 +91,12 @@ type Node struct {
 	relCache  map[string]*relEntry
 	specCache map[core.PeerID]*specEntry
 
+	// plans memoizes the slice of each repeated query that can skip its
+	// snapshot on a warm hit, and localSig the root's spec signature per
+	// local write generation (plan.go). Both are guarded by cacheMu.
+	plans    map[string]*queryPlan
+	localSig sigMemo
+
 	// answers is the slice-keyed PCA cache of AnswerQuery: entries are
 	// content-addressed by (query, vars, slice signature, data
 	// fingerprint), so they need no invalidation — an update to an
@@ -124,6 +134,11 @@ type Node struct {
 type relEntry struct {
 	tuples  []relation.Tuple
 	expires time.Time
+
+	// hash is relation.Instance.RelHash over tuples, computed by the
+	// first warm-hit probe that reads the entry (relHash).
+	hashOnce sync.Once
+	hash     uint64
 }
 
 type specEntry struct {
@@ -446,13 +461,6 @@ func (n *Node) exportSpec() (string, error) {
 	return sysdsl.FormatSpec(frag), nil
 }
 
-// specFragment is one fetched peer export: the sysdsl fragment plus
-// the peer's neighbour addresses.
-type specFragment struct {
-	spec      string
-	neighbors map[string]string
-}
-
 // specSnapshot assembles the specification-only system of a snapshot:
 // starting from the DEC neighbours, each BFS level of OpExportSpec
 // fragments (no data) is fetched concurrently and merged sequentially
@@ -463,18 +471,26 @@ type specFragment struct {
 // with specifications intact (Section 4.3). It returns the validated
 // system plus every address discovered, so the caller can fetch
 // relations of transitively reachable peers that are not in the local
-// neighbour table.
-func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]string, error) {
+// neighbour table. A non-nil plan receives the local spec signature of
+// the root clone and the spec entry of every fetched peer.
+func (n *Node) specSnapshot(transitive bool, plan *queryPlan) (*core.System, map[core.PeerID]string, error) {
 	sys := core.NewSystem()
 	// The snapshot gets a clone of the live peer, not the peer itself:
 	// a snapshot (possibly retained by an incremental series) must not
-	// alias an instance a concurrent local write can mutate.
-	if err := sys.AddPeer(n.localClone()); err != nil {
+	// alias an instance a concurrent local write can mutate. The plan's
+	// signature is read under the same lock, so it describes the clone.
+	n.dataMu.RLock()
+	if plan != nil {
+		plan.specSig = n.localSpecSig()
+	}
+	root := n.Peer.Clone()
+	n.dataMu.RUnlock()
+	if err := sys.AddPeer(root); err != nil {
 		return nil, nil, err
 	}
 	fetched := map[core.PeerID]bool{n.Peer.ID: true}
 	addrs := n.neighborsCopy()
-	frontier := n.neighborIDs()
+	frontier := decNeighbors(root)
 	for len(frontier) > 0 {
 		// Deduplicate the level, dropping peers already fetched.
 		var level []core.PeerID
@@ -492,18 +508,20 @@ func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]stri
 		// Fetch the whole level concurrently; merge sequentially in
 		// level order so the assembled system (and any error) is
 		// deterministic.
-		frags, err := parallel.MapErr(len(level), parallel.Workers(n.Parallelism), func(i int) (specFragment, error) {
+		frags, err := parallel.MapErr(len(level), parallel.Workers(n.Parallelism), func(i int) (*specEntry, error) {
 			addr, ok := addrs[level[i]]
 			if !ok {
-				return specFragment{}, fmt.Errorf("peernet: no address known for peer %s", level[i])
+				return nil, fmt.Errorf("peernet: no address known for peer %s", level[i])
 			}
-			spec, neigh, err := n.fetchSpec(level[i], addr)
-			return specFragment{spec: spec, neighbors: neigh}, err
+			return n.fetchSpec(level[i], addr)
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		for i, id := range level {
+			if plan != nil {
+				plan.specs[id] = frags[i]
+			}
 			remote, err := sysdsl.ParsePartial(frags[i].spec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("peernet: bad spec from %s: %w", id, err)
@@ -552,9 +570,10 @@ func sortedNeighborIDs(m map[string]string) []string {
 	return out
 }
 
-func (n *Node) neighborIDs() []core.PeerID {
+// decNeighbors lists the peers a peer has DECs with, sorted.
+func decNeighbors(p *core.Peer) []core.PeerID {
 	var out []core.PeerID
-	for id := range n.Peer.DECs {
+	for id := range p.DECs {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -565,37 +584,40 @@ func (n *Node) neighborIDs() []core.PeerID {
 // facts) and its neighbour addresses, serving from the TTL spec cache
 // when enabled. Spec entries share the per-peer generation of the
 // relation cache, so SetNeighbor for one peer evicts only that peer's
-// spec.
-func (n *Node) fetchSpec(id core.PeerID, addr string) (string, map[string]string, error) {
+// spec. The returned entry is the cached one whenever it was served
+// from, or stored into, the cache; entries are never mutated once
+// cached.
+func (n *Node) fetchSpec(id core.PeerID, addr string) (*specEntry, error) {
 	var gen uint64
 	if n.CacheTTL > 0 {
 		n.cacheMu.Lock()
 		gen = n.relGens[id]
 		if e, ok := n.specCache[id]; ok && n.now().Before(e.expires) {
-			spec, neigh := e.spec, e.neighbors
 			n.cacheMu.Unlock()
-			return spec, neigh, nil
+			return e, nil
 		}
 		n.cacheMu.Unlock()
 	}
 	resp, err := n.tr.Call(addr, Request{Op: OpExportSpec})
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	if resp.Err != "" {
-		return "", nil, fmt.Errorf("peernet: export spec from %s: %s", id, resp.Err)
+		return nil, fmt.Errorf("peernet: export spec from %s: %s", id, resp.Err)
 	}
+	e := &specEntry{spec: resp.Spec, neighbors: resp.Neighbors}
 	if n.CacheTTL > 0 {
 		n.cacheMu.Lock()
 		if n.relGens[id] == gen {
 			if n.specCache == nil {
 				n.specCache = make(map[core.PeerID]*specEntry)
 			}
-			n.specCache[id] = &specEntry{spec: resp.Spec, neighbors: resp.Neighbors, expires: n.now().Add(n.CacheTTL)}
+			e.expires = n.now().Add(n.CacheTTL)
+			n.specCache[id] = e
 		}
 		n.cacheMu.Unlock()
 	}
-	return resp.Spec, resp.Neighbors, nil
+	return e, nil
 }
 
 // SnapshotFor assembles the query-relevance-sliced snapshot every query
@@ -610,13 +632,25 @@ func (n *Node) fetchSpec(id core.PeerID, addr string) (string, map[string]string
 // (core.SolveOptions.KeepDep/RelevantRels, program counterparts)
 // answers exactly as over the whole overlay's data.
 func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *slice.Slice, error) {
-	sys, addrs, err := n.specSnapshot(transitive)
+	sys, sl, _, err := n.snapshotFor(q, transitive, false)
+	return sys, sl, err
+}
+
+// snapshotFor is SnapshotFor that, with wantPlan, also returns the query
+// plan a warm-hit probe can rebuild this snapshot's answer key from
+// (nil when the snapshot gives none).
+func (n *Node) snapshotFor(q foquery.Formula, transitive, wantPlan bool) (*core.System, *slice.Slice, *queryPlan, error) {
+	var plan *queryPlan
+	if wantPlan {
+		plan = &queryPlan{specs: make(map[core.PeerID]*specEntry)}
+	}
+	sys, addrs, err := n.specSnapshot(transitive, plan)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sl, err := slice.ForQuery(sys, n.Peer.ID, q, transitive)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	peers := sl.RemotePeers()
 	results, err := parallel.MapErr(len(peers), parallel.Workers(n.Parallelism), func(i int) (map[string][]relation.Tuple, error) {
@@ -628,7 +662,7 @@ func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *s
 		return n.fetchRelationsAddr(pid, addr, sl.RelsOf(pid))
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// Merge sequentially in sorted peer order (deterministic system).
 	for i, pid := range peers {
@@ -639,7 +673,10 @@ func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *s
 			}
 		}
 	}
-	return sys, sl, nil
+	if plan != nil {
+		plan.finish(sys, sl)
+	}
+	return sys, sl, plan, nil
 }
 
 // QueryOptions tunes one query answered through AnswerQuery.
@@ -673,8 +710,10 @@ type QueryOptions struct {
 // join a single solver run (singleflight) — safe because the key embeds
 // the data fingerprint, so coalesced requests provably compute the same
 // answers. A repeated direct query after local writes is patched from
-// the write journal when that is provably exact (incr.go). Every caller
-// owns its returned tuples.
+// the write journal when that is provably exact (incr.go); with
+// CacheTTL > 0, any other repeated query looks up its answer before it
+// assembles a snapshot, under the same key rebuilt from a memoized
+// slice (plan.go). Every caller owns its returned tuples.
 func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) ([]relation.Tuple, error) {
 	if opt.Parallelism == 0 {
 		opt.Parallelism = n.Parallelism
@@ -690,6 +729,15 @@ func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) (
 	if incr {
 		if ans, err, handled := n.incrAnswer(q, vars, opt.Parallelism); handled {
 			return ans, err
+		}
+	}
+	// A query that cannot seed a series probes the answer cache before
+	// it pays for a snapshot: a probe hit has no snapshot to seed from.
+	qs := q.String()
+	probe := !incr && n.CacheTTL > 0
+	if probe {
+		if ans, ok := n.probeAnswer(qs, vars, opt.Transitive); ok {
+			return ans, nil
 		}
 	}
 	// Pre-snapshot journal position and relation generations: if both
@@ -713,15 +761,18 @@ func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) (
 		}
 		n.cacheMu.Unlock()
 	}
-	sys, sl, err := n.SnapshotFor(q, opt.Transitive)
+	sys, sl, plan, err := n.snapshotFor(q, opt.Transitive, probe)
 	if err != nil {
 		return nil, err
+	}
+	if plan != nil {
+		n.storePlan(planKey(qs, vars, opt.Transitive), plan)
 	}
 	fp, err := slice.DataFingerprint(sys, sl)
 	if err != nil {
 		return nil, err
 	}
-	key := slice.AnswerKey(q.String(), vars, sl, fp)
+	key := slice.AnswerKey(qs, vars, sl, fp)
 	cache := n.answersCache()
 	if ans, ok := cache.Get(key); ok {
 		if incr {
@@ -824,7 +875,7 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, opt QueryOptio
 	if budget <= 0 {
 		return fallback("delegation hop budget exhausted")
 	}
-	sys, addrs, err := n.specSnapshot(true)
+	sys, addrs, err := n.specSnapshot(true, nil)
 	if err != nil {
 		return fallback(fmt.Sprintf("spec snapshot failed: %v", err))
 	}

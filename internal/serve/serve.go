@@ -5,9 +5,11 @@
 // Admission is a bounded pool: at most Config.MaxConcurrent queries run
 // at once, up to Config.MaxQueue more wait for a slot, and anything
 // beyond that is shed immediately (ErrOverloaded, HTTP 503) instead of
-// building an unbounded backlog. Each admitted query runs with an
-// engine parallelism budget of Config.QueryParallelism, so a single
-// expensive repair search cannot claim every core and starve the pool.
+// building an unbounded backlog. While Stop drains the server, every
+// new arrival is shed too (ErrStopping, also HTTP 503). Each admitted
+// query runs with an engine parallelism budget of
+// Config.QueryParallelism, so a single expensive repair search cannot
+// claim every core and starve the pool.
 //
 // The query path itself is the node's AnswerQuery: snapshot-isolated
 // reads (copy-on-write instance clones), a content-addressed answer
@@ -172,6 +174,11 @@ var nodeMetrics = []struct {
 	{"repair_searches_total", func(s peernet.Stats) int64 { return s.RepairSearches }},
 	{"repair_localized_total", func(s peernet.Stats) int64 { return s.RepairLocalized }},
 	{"repair_components_total", func(s peernet.Stats) int64 { return s.RepairComponents }},
+	{"node_incr_patched_total", func(s peernet.Stats) int64 { return s.IncrPatched }},
+	{"node_incr_seeded_total", func(s peernet.Stats) int64 { return s.IncrSeeded }},
+	{"node_incr_fallbacks_total", func(s peernet.Stats) int64 { return s.IncrFallbacks }},
+	{"node_delegated_total", func(s peernet.Stats) int64 { return s.Delegated }},
+	{"node_delegation_fallbacks_total", func(s peernet.Stats) int64 { return s.DelegationFallbacks }},
 }
 
 // Registry exposes the server's metrics registry (also mounted at
@@ -324,7 +331,8 @@ func httpError(w http.ResponseWriter, code int, err error) {
 //	GET  /metrics                                 -> text, one "name value" per line
 //	GET  /healthz                                 -> ok
 //
-// Shed queries answer 503 with Retry-After, malformed requests 400,
+// Shed queries answer 503 with Retry-After, and queries arriving while
+// Stop drains the server 503 without it; malformed requests answer 400,
 // engine failures 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -356,6 +364,8 @@ func (s *Server) Handler() http.Handler {
 		ans, err := s.Answer(f, vars, transitive)
 		if errors.Is(err, ErrOverloaded) {
 			w.Header().Set("Retry-After", "1")
+		}
+		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrStopping) {
 			httpError(w, http.StatusServiceUnavailable, err)
 			return
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/peernet"
 	"repro/internal/relation"
 	"repro/internal/testutil"
+	"repro/internal/workload"
 )
 
 // deployExample1 deploys Example1 as an in-proc overlay with the given
@@ -88,41 +89,88 @@ func TestAnswerMatchesNode(t *testing.T) {
 }
 
 // TestNodeMetricsTrackStats: every node_*/repair_* series reads its
-// peernet.Stats field.
+// peernet.Stats field. ScatteredConflicts' root seeds an incremental
+// series for ra0(X,Y) and patches it after writes to ra2.
 func TestNodeMetricsTrackStats(t *testing.T) {
-	srv, node := newTestServer(t, Config{MaxConcurrent: 2})
-	q := foquery.MustParse("r1(X,Y)")
+	nodes, stop, err := peernet.Deploy(workload.ScatteredConflicts(4, 3, 11), peernet.NewInProc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	node := nodes["A"]
+	node.CacheTTL = time.Minute
+	srv := New(node, Config{MaxConcurrent: 2})
+	q := foquery.MustParse("ra0(X,Y)")
+	vars := []string{"X", "Y"}
+	check := func() peernet.Stats {
+		t.Helper()
+		st := node.Stats()
+		var b strings.Builder
+		srv.WriteMetrics(&b)
+		for name, want := range map[string]int64{
+			"node_answer_cache_hits":          st.AnswerCacheHits,
+			"node_answer_cache_misses":        st.AnswerCacheMisses,
+			"node_relation_cache_hits":        st.RelationCacheHits,
+			"node_relation_cache_misses":      st.RelationCacheMisses,
+			"node_coalesce_leaders":           st.CoalesceLeaders,
+			"node_coalesced_total":            st.Coalesced,
+			"node_solver_runs_total":          st.SolverRuns,
+			"node_local_writes_total":         st.LocalWrites,
+			"repair_searches_total":           st.RepairSearches,
+			"repair_localized_total":          st.RepairLocalized,
+			"repair_components_total":         st.RepairComponents,
+			"node_incr_patched_total":         st.IncrPatched,
+			"node_incr_seeded_total":          st.IncrSeeded,
+			"node_incr_fallbacks_total":       st.IncrFallbacks,
+			"node_delegated_total":            st.Delegated,
+			"node_delegation_fallbacks_total": st.DelegationFallbacks,
+		} {
+			line := fmt.Sprintf("%s %d\n", name, want)
+			if !strings.Contains(b.String(), line) {
+				t.Fatalf("metrics lack %q:\n%s", line, b.String())
+			}
+		}
+		return st
+	}
 	for i := 0; i < 3; i++ {
-		if _, err := srv.Answer(q, []string{"X", "Y"}, false); err != nil {
+		if _, err := srv.Answer(q, vars, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Write("r1", []string{"m", "n"}); err != nil {
+	if err := srv.Write("ra2", []string{"m", "n"}); err != nil {
 		t.Fatal(err)
 	}
-	st := node.Stats()
-	var b strings.Builder
-	srv.WriteMetrics(&b)
-	for name, want := range map[string]int64{
-		"node_answer_cache_hits":     st.AnswerCacheHits,
-		"node_answer_cache_misses":   st.AnswerCacheMisses,
-		"node_relation_cache_hits":   st.RelationCacheHits,
-		"node_relation_cache_misses": st.RelationCacheMisses,
-		"node_coalesce_leaders":      st.CoalesceLeaders,
-		"node_coalesced_total":       st.Coalesced,
-		"node_solver_runs_total":     st.SolverRuns,
-		"node_local_writes_total":    st.LocalWrites,
-		"repair_searches_total":      st.RepairSearches,
-		"repair_localized_total":     st.RepairLocalized,
-		"repair_components_total":    st.RepairComponents,
-	} {
-		line := fmt.Sprintf("%s %d\n", name, want)
-		if !strings.Contains(b.String(), line) {
-			t.Fatalf("metrics lack %q:\n%s", line, b.String())
-		}
-	}
+	st := check()
 	if st.AnswerCacheHits != 2 || st.AnswerCacheMisses != 1 || st.LocalWrites != 1 || st.RepairSearches == 0 {
 		t.Fatalf("stats = %+v, want 2 hits, 1 miss, 1 write, some repair searches", st)
+	}
+
+	// Drive the incremental and delegation counters to distinct values:
+	// three patched repeats, a spec change that drops the series (one
+	// fallback, one reseeding) and four delegated direct queries, each
+	// of which falls back to the centralized path.
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			if err := srv.Write("ra2", []string{fmt.Sprint("w", i), "n"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := srv.Answer(q, vars, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node.UpdateLocal(func(p *core.Peer) { p.Declare("extra", 1) })
+	if _, err := srv.Answer(q, vars, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := node.AnswerQuery(q, vars, peernet.QueryOptions{Delegate: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = check()
+	if st.IncrPatched != 3 || st.IncrSeeded != 2 || st.IncrFallbacks != 1 || st.Delegated != 0 || st.DelegationFallbacks != 4 {
+		t.Fatalf("stats = %+v, want 3 patched, 2 seeded, 1 incr fallback, 4 delegation fallbacks", st)
 	}
 }
 
@@ -280,6 +328,34 @@ func TestShedDeterministic(t *testing.T) {
 	<-srv.sem // free the slot
 	if _, err := srv.Answer(q, []string{"X", "Y"}, false); err != nil {
 		t.Fatalf("after drain: %v", err)
+	}
+}
+
+// TestHTTPDrainingAnswers503: a query arriving after Stop is shed with
+// ErrStopping, which the HTTP surface reports as 503 (not as an engine
+// failure). Retry-After stays with overload shedding: a draining server
+// is going away, not busy.
+func TestHTTPDrainingAnswers503(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxConcurrent: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if !srv.Stop() {
+		t.Fatal("an idle server must drain at once")
+	}
+	resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {"r1(X,Y)"}, "vars": {"X,Y"}}.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || body["error"] != ErrStopping.Error() {
+		t.Fatalf("draining query: status %d, body %v; want 503 with %q", resp.StatusCode, body, ErrStopping)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("draining 503 carries Retry-After %q", ra)
 	}
 }
 

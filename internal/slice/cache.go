@@ -55,12 +55,21 @@ func AnswerKey(query string, vars []string, sl *Slice, fingerprint string) strin
 // Get returns a deep copy of the cached answers for the key and marks
 // the entry most recently used: a caller mutating a returned tuple in
 // place cannot poison the cache entry.
-func (c *AnswerCache) Get(key string) ([]relation.Tuple, bool) {
+func (c *AnswerCache) Get(key string) ([]relation.Tuple, bool) { return c.lookup(key, true) }
+
+// Probe is Get for a caller that falls back to Get on a miss: a hit is
+// counted and served like Get's, a miss is not counted, so the later Get
+// counts the query once.
+func (c *AnswerCache) Probe(key string) ([]relation.Tuple, bool) { return c.lookup(key, false) }
+
+func (c *AnswerCache) lookup(key string, countMiss bool) ([]relation.Tuple, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		return nil, false
 	}
 	c.hits++

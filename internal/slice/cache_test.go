@@ -110,6 +110,68 @@ func TestDataFingerprintIncremental(t *testing.T) {
 	}
 }
 
+// TestFingerprintComposition: DataFingerprint is Fingerprint over the
+// owning instances' RelHash values, so a caller holding those hashes
+// (peernet's warm-hit probe) rebuilds the same string, and any changed
+// hash changes it.
+func TestFingerprintComposition(t *testing.T) {
+	sys := twoPeerSystem(t)
+	sl, err := ForQuery(sys, "P", foquery.MustParse("a1(X,Y)"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make([]uint64, len(sl.Rels))
+	for i, rel := range sl.Rels {
+		owner, _ := sys.Owner(rel)
+		p, _ := sys.Peer(owner)
+		hashes[i] = p.Inst.RelHash(rel)
+	}
+	fp, err := DataFingerprint(sys, sl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Fingerprint(sl, hashes); got != fp {
+		t.Fatalf("Fingerprint = %s, DataFingerprint = %s", got, fp)
+	}
+	for i := range hashes {
+		hashes[i]++
+		if Fingerprint(sl, hashes) == fp {
+			t.Fatalf("changing the hash of %s left the fingerprint at %s", sl.Rels[i], fp)
+		}
+		hashes[i]--
+	}
+}
+
+// TestAnswerCacheProbeCountsHitsOnly: Probe serves a hit like Get (a
+// counted hit, a deep copy, LRU refresh) and leaves a miss uncounted,
+// so a Probe-then-Get caller counts each lookup once.
+func TestAnswerCacheProbeCountsHitsOnly(t *testing.T) {
+	c := NewAnswerCache(2)
+	if _, ok := c.Probe("a"); ok {
+		t.Fatal("empty cache hit")
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("probe miss counted: %d hits, %d misses", hits, misses)
+	}
+	c.Put("a", []relation.Tuple{{"1"}})
+	c.Put("b", []relation.Tuple{{"2"}})
+	got, ok := c.Probe("a") // refreshes a: b becomes LRU
+	if !ok || got[0][0] != "1" {
+		t.Fatalf("probe = %v, %v", got, ok)
+	}
+	got[0][0] = "mutated"
+	c.Put("c", []relation.Tuple{{"3"}}) // evicts b
+	if again, ok := c.Probe("a"); !ok || again[0][0] != "1" {
+		t.Fatalf("probe after eviction = %v, %v; want the untouched entry", again, ok)
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b should be evicted")
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("stats = %d/%d, want 2 hits / 1 miss", hits, misses)
+	}
+}
+
 // TestRelHashCachedPerRelation: hashing twice returns the same value
 // without rebuilding (generation-keyed), and a mutation of one relation
 // leaves the other relation's cached hash valid.

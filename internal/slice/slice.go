@@ -170,6 +170,7 @@ func Compute(s *core.System, id core.PeerID, queryPreds []string, transitive boo
 	}
 
 	keep := map[*constraint.Dependency]bool{}
+	var kept []entry
 	full := false
 	for changed := true; changed; {
 		changed = false
@@ -181,6 +182,7 @@ func Compute(s *core.System, id core.PeerID, queryPreds []string, transitive boo
 				continue
 			}
 			keep[e.dep] = true
+			kept = append(kept, e)
 			changed = true
 			for pred := range e.dep.Preds() {
 				rels[pred] = true
@@ -207,7 +209,9 @@ func Compute(s *core.System, id core.PeerID, queryPreds []string, transitive boo
 		relsByPeer: map[core.PeerID][]string{},
 	}
 	if full {
-		// Degenerate slice: every relation is (potentially) relevant.
+		// Degenerate slice: every relation is (potentially) relevant,
+		// and the engines enforce the whole pool.
+		kept = pool
 		rels = map[string]bool{}
 		for _, qid := range s.Peers() {
 			qp, _ := s.Peer(qid)
@@ -228,7 +232,7 @@ func Compute(s *core.System, id core.PeerID, queryPreds []string, transitive boo
 		}
 		sl.relsByPeer[owner] = append(sl.relsByPeer[owner], rel)
 	}
-	sl.Signature = signature(sl)
+	sl.Signature = signature(sl, kept)
 	return sl, nil
 }
 
@@ -364,18 +368,37 @@ func domainDependent(e entry) bool {
 	return false
 }
 
-// signature renders the slice canonically. Constraint names follow the
-// sysdsl convention (unique within a system), so root + kept names +
-// relations identify the projection.
-func signature(sl *Slice) string {
-	names := make([]string, 0, len(sl.keep))
-	for d := range sl.keep {
-		names = append(names, d.Name)
+// signature renders the slice canonically: root, semantics, relations,
+// the names of the enforced constraints and a digest of what each one
+// enforces, its rendering and the predicates its repair stage may
+// change. The digest follows a constraint replaced under the same name
+// and a trust change, which moves a DEC between the less- and the
+// same-trust stage without renaming it; hashing it keeps the answer
+// keys that embed the signature short.
+func signature(sl *Slice, kept []entry) string {
+	names := make([]string, 0, len(kept))
+	enforced := make([]string, 0, len(kept))
+	for _, e := range kept {
+		var mut []string
+		for pred := range e.dep.Preds() {
+			if e.mutable[pred] {
+				mut = append(mut, pred)
+			}
+		}
+		sort.Strings(mut)
+		names = append(names, e.dep.Name)
+		enforced = append(enforced, e.dep.Name+"{"+e.dep.String()+"}"+strings.Join(mut, ","))
 	}
 	sort.Strings(names)
+	sort.Strings(enforced)
+	h := fnv.New64a()
+	for _, d := range enforced {
+		h.Write([]byte(d))
+		h.Write([]byte{0})
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "root=%s;transitive=%v;full=%v;rels=%s;deps=%s",
-		sl.Root, sl.Transitive, sl.Full, strings.Join(sl.Rels, ","), strings.Join(names, ","))
+	fmt.Fprintf(&b, "root=%s;transitive=%v;full=%v;rels=%s;deps=%s;enforced=%016x",
+		sl.Root, sl.Transitive, sl.Full, strings.Join(sl.Rels, ","), strings.Join(names, ","), h.Sum64())
 	return b.String()
 }
 
@@ -391,19 +414,32 @@ func signature(sl *Slice) string {
 // relation instead of rehashing every tuple per query; an update
 // re-hashes only the touched relation.
 func DataFingerprint(s *core.System, sl *Slice) (string, error) {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, rel := range sl.Rels {
+	hashes := make([]uint64, len(sl.Rels))
+	for i, rel := range sl.Rels {
 		owner, ok := s.Owner(rel)
 		if !ok {
 			return "", fmt.Errorf("slice: relation %s has no owner", rel)
 		}
 		p, _ := s.Peer(owner)
+		hashes[i] = p.Inst.RelHash(rel)
+	}
+	return Fingerprint(sl, hashes), nil
+}
+
+// Fingerprint composes per-relation content hashes into the slice's
+// data fingerprint: relHashes[i] is the RelHash of sl.Rels[i].
+// DataFingerprint reads those hashes off a system; a caller that holds
+// them by other means (peernet's warm-hit probe) gets a byte-identical
+// fingerprint.
+func Fingerprint(sl *Slice, relHashes []uint64) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i, rel := range sl.Rels {
 		h.Write([]byte(rel))
 		h.Write([]byte{0})
-		binary.BigEndian.PutUint64(buf[:], p.Inst.RelHash(rel))
+		binary.BigEndian.PutUint64(buf[:], relHashes[i])
 		h.Write(buf[:])
 		h.Write([]byte{2})
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -211,6 +211,28 @@ func TestSignatureAndFingerprint(t *testing.T) {
 	}
 }
 
+// TestSignatureTracksSemantics: the signature is part of the answer
+// key, so every spec change that can change answers must move it, even
+// when the kept constraints keep their names: a trust change (the DEC
+// moves from the less- to the same-trust stage, making the neighbour's
+// relation mutable) and a constraint replaced under the same name.
+func TestSignatureTracksSemantics(t *testing.T) {
+	base := mustCompute(t, core.Example1System(), "P1", "r1(X,Y)", false).Signature
+	trust := core.Example1System()
+	p1, _ := trust.Peer("P1")
+	p1.SetTrust("P2", core.TrustSame)
+	if sig := mustCompute(t, trust, "P1", "r1(X,Y)", false).Signature; sig == base {
+		t.Fatalf("a trust change left the signature at %s", sig)
+	}
+	replaced := core.Example1System()
+	p1, _ = replaced.Peer("P1")
+	// Same name, predicates and stage; only what it enforces differs.
+	p1.DECs["P3"][0] = constraint.Inclusion(p1.DECs["P3"][0].Name, "r3", "r1", 2)
+	if sig := mustCompute(t, replaced, "P1", "r1(X,Y)", false).Signature; sig == base {
+		t.Fatalf("a constraint replaced under its name left the signature at %s", sig)
+	}
+}
+
 func TestComputeErrors(t *testing.T) {
 	s := core.Example1System()
 	if _, err := Compute(s, "ZZ", nil, false); err == nil {
