@@ -380,6 +380,32 @@ func BenchmarkWarmHit(b *testing.B) {
 	}
 }
 
+// BenchmarkChainDirect answers t0(X,Y) at P0 of Chain(4,50) at
+// Parallelism 1, once through the repair engine (direct semantics) and
+// once through the LP route with the transitive program. At P0 every
+// import from P1 is forced, so the repair row's search is one long
+// sequence of inserting actions, each re-checked by the delta kernel
+// (constraint.ViolationsDelta).
+func BenchmarkChainDirect(b *testing.B) {
+	s := workload.Chain(4, 50, 1)
+	q := foquery.MustParse("t0(X,Y)")
+	vars := []string{"X", "Y"}
+	b.Run("repair", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.PeerConsistentAnswers(s, "P0", q, vars, core.SolveOptions{Parallelism: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := program.PeerConsistentAnswersViaLP(s, "P0", q, vars, program.RunOptions{Parallelism: 1, Transitive: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkB7ChoiceUnfolding measures the choice-unfolding pipeline.
 func BenchmarkB7ChoiceUnfolding(b *testing.B) {
 	for _, v := range []int{1, 3, 5} {

@@ -381,14 +381,21 @@
 //   - Fact journal. A relation.Journal attached to the peer's live
 //     instance records membership-accurate fact-level changes (dup
 //     inserts and absent deletes are not recorded), with a bounded
-//     buffer and Since(seq) retrieval.
+//     buffer and Since(seq) retrieval. Recording is O(1) amortized: a
+//     full journal trims by advancing a start offset and compacts its
+//     buffer once per cap records.
 //   - Delta-driven repair. repair.IncrState keeps, per query series,
-//     the per-dependency violation lists and a cache of solved conflict
-//     components keyed by their violation sets. On a delta it re-checks
-//     only the dependencies whose predicates the delta touches
-//     (constraint.DepIndex.Affected), re-runs the wave search only for
-//     components whose read set the delta intersects, and re-answers
-//     from the patched component repairs. Exactness gates — bounded
+//     the per-dependency violation lists, the full TGDs' head-fact
+//     support counts and a cache of solved conflict components keyed by
+//     their violation sets. A delta arrives as the facts that changed;
+//     constraint.NetDelta folds them to net inserts and deletes (a write
+//     and its undo cancel). Only the dependencies whose predicates the
+//     delta touches (constraint.DepIndex.Affected) are brought up to
+//     date, by the delta kernel (see "Answer-path costs"), so a patch's
+//     violation work is proportional to the delta. It then re-runs the
+//     wave search only for components whose read set the delta
+//     intersects, and re-answers from the patched component repairs.
+//     Exactness gates — bounded
 //     searches, deltas that could sum past MaxDelta, queries spanning
 //     two components, non-domain-free queries — report ok=false and the
 //     caller falls back to the byte-identical full recompute.
@@ -443,19 +450,28 @@
 //     comparisons. Atoms, conjunctions, disjunctions and existentials
 //     over generators never build it, so a query like ra0(X,Y) costs its
 //     matches, not a walk of every relation of every repair.
-//   - Delete-only violation filtering. In a component search,
-//     repair's recheck normally recomputes Dependency.Violations for
-//     every dependency the action's predicates touch. When the action
-//     only deletes, a dependency without head atoms (an EGD or a denial)
-//     instead keeps the parent's violations whose ground body avoids the
-//     deleted facts (constraint.WithoutFacts). Such a violation is a body
-//     match whose head equalities fail, a property of the match alone;
-//     deleting facts only removes matches; and matchBody joins the body
-//     atoms in a fixed order over sorted views, so the surviving matches
-//     keep their relative order and the filtered list equals
-//     Violations(cur) element for element, skip set included. TGDs
-//     (deleting a head witness creates violations) and actions that
-//     insert recompute.
+//   - Delta violations. A dependency's violation list after a net
+//     delta is derived from its list before, never recomputed
+//     (Dependency.ViolationsDelta, the delete-and-rederive discipline of
+//     Gupta, Mumick & Subrahmanian, SIGMOD 1993). The kernel drops the
+//     violations whose body uses a deleted fact (constraint.WithoutFacts);
+//     evaluates the body matches that bind some body atom to an inserted
+//     fact (semi-naive evaluation); and for a TGD re-checks the
+//     violations whose head an inserted fact may now witness and the
+//     matches whose head a deleted fact may have witnessed. New entries
+//     are merged in matchBody's order — lexicographic over the body
+//     atoms' tuples in Tuple.Key order, since it joins the atoms in a
+//     fixed order over sorted views — so the list equals Violations(cur)
+//     element for element, skip set included. The repair search's
+//     recheck derives every state's lists this way, for every action
+//     kind, and so does IncrState on each patch; a delete-only delta on
+//     an EGD or a denial costs exactly the WithoutFacts filter.
+//     Dependency.Violations remains the tests' reference and seeds fresh
+//     states. Two costs still scan whole relations: the data
+//     fingerprint's RelHash (slice.DataFingerprint re-renders and
+//     re-sorts the written relation), and the semi-naive probes of a
+//     self-join on the written relation, which rebuild its sorted view
+//     and column index after each write.
 //   - Render-once answer sorts. foquery.Answers, IntersectAnswersOpt and
 //     PossibleAnswers render each answer tuple's key once, to deduplicate
 //     or count, and sort on those keys (relation.SortKeyed) instead of

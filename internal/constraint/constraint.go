@@ -280,14 +280,21 @@ func WithoutFacts(vs []Violation, facts []relation.Fact) []Violation {
 	return vs
 }
 
-// matchBody enumerates substitutions matching all body atoms against
-// the instance and satisfying the conditions. Candidate facts come from
-// the instance's per-column indexes (Instance.MatchingTuples) and
-// backtracking uses a binding trail instead of cloning the substitution
-// per candidate; the enumeration order is identical to a full sorted
-// scan, so every caller sees the seed's deterministic match order.
-func matchBody(inst *relation.Instance, body []term.Atom, cond []Comparison, fn func(term.Subst) error) error {
-	s := term.NewSubst()
+// source yields the candidate tuples for a body pattern, as
+// relation.Instance.MatchingTuplesBuf does: tuples of pat.Pred agreeing
+// with its ground arguments, in sorted Key order.
+type source func(pat term.Atom, buf *[]relation.Tuple) []relation.Tuple
+
+// matchBody enumerates the substitutions that extend s, match every
+// body atom but the one at index bound (-1 for none; the caller has
+// already bound it) against src's tuples and satisfy the conditions.
+// Candidate facts come from the instance's per-column indexes
+// (Instance.MatchingTuples) and backtracking uses a binding trail
+// instead of cloning the substitution per candidate. With an empty s
+// and no bound atom the enumeration order is identical to a full sorted
+// scan: lexicographic over the body atoms' tuples in Tuple.Key order
+// (matchOrder), the deterministic match order every caller sees.
+func matchBody(src source, body []term.Atom, cond []Comparison, s term.Subst, bound int, fn func(term.Subst) error) error {
 	var trail []string
 	var argsBuf []term.Term
 	// Per-depth scratch: the applied pattern's argument buffer and the
@@ -311,9 +318,12 @@ func matchBody(inst *relation.Instance, body []term.Atom, cond []Comparison, fn 
 			}
 			return fn(s.Clone())
 		}
+		if i == bound {
+			return rec(i + 1)
+		}
 		pat := s.ApplyInto(body[i], patBufs[i])
 		patBufs[i] = pat.Args
-		for _, tup := range inst.MatchingTuplesBuf(pat, &tupBufs[i]) {
+		for _, tup := range src(pat, &tupBufs[i]) {
 			mark := len(trail)
 			argsBuf = term.ConstArgs(argsBuf[:0], tup)
 			if term.MatchTrail(pat, term.Atom{Pred: pat.Pred, Args: argsBuf}, s, &trail) {
@@ -406,13 +416,13 @@ func matchHead(inst *relation.Instance, head []term.Atom, s term.Subst, i int, f
 // conflict-graph construction uses it to enumerate the head facts a
 // full TGD derives.
 func (d *Dependency) BodyMatches(inst *relation.Instance, fn func(term.Subst) error) error {
-	return matchBody(inst, d.Body, d.Cond, fn)
+	return matchBody(inst.MatchingTuplesBuf, d.Body, d.Cond, term.NewSubst(), -1, fn)
 }
 
 // Violations returns every violation of the dependency in the instance.
 func (d *Dependency) Violations(inst *relation.Instance) ([]Violation, error) {
 	var out []Violation
-	err := matchBody(inst, d.Body, d.Cond, func(s term.Subst) error {
+	err := d.BodyMatches(inst, func(s term.Subst) error {
 		ok, err := headSatisfied(inst, d, s)
 		if err != nil {
 			return err
@@ -428,7 +438,7 @@ func (d *Dependency) Violations(inst *relation.Instance) ([]Violation, error) {
 // Satisfied reports whether the instance satisfies the dependency.
 func (d *Dependency) Satisfied(inst *relation.Instance) (bool, error) {
 	sat := true
-	err := matchBody(inst, d.Body, d.Cond, func(s term.Subst) error {
+	err := d.BodyMatches(inst, func(s term.Subst) error {
 		ok, err := headSatisfied(inst, d, s)
 		if err != nil {
 			return err
@@ -523,7 +533,7 @@ func (ix *DepIndex) Affected(preds []string) []int {
 func FirstViolation(inst *relation.Instance, deps []*Dependency) (*Violation, error) {
 	for _, d := range deps {
 		var found *Violation
-		err := matchBody(inst, d.Body, d.Cond, func(s term.Subst) error {
+		err := d.BodyMatches(inst, func(s term.Subst) error {
 			ok, err := headSatisfied(inst, d, s)
 			if err != nil {
 				return err

@@ -23,8 +23,8 @@ import (
 // instance the snapshot corresponds to. When the same query returns
 // after local writes, the node replays the journal delta onto the
 // retained snapshot (a handful of fact toggles instead of a rebuild),
-// hands the changed predicates to the IncrState — which re-checks only
-// the touched dependencies and re-searches only the touched conflict
+// hands the changed facts to the IncrState — which re-checks only the
+// matches they touch and re-searches only the touched conflict
 // components — and promotes the cached answer entry to the post-write
 // fingerprint key in place (slice.AnswerCache.Promote).
 //
@@ -189,30 +189,25 @@ func (n *Node) incrAnswer(q foquery.Formula, vars []string, par int) (ans []rela
 	// membership-accurate (only status-changing writes are recorded),
 	// so replaying them reproduces the live root content exactly, and
 	// the content-based relation hashes make the patched snapshot
-	// fingerprint identical to a freshly assembled one.
-	changedSet := make(map[string]bool, len(changes))
+	// fingerprint identical to a freshly assembled one. The repair state
+	// is handed the changes that the slice's relations took.
+	var sliced []relation.Change
 	for _, c := range changes {
-		changedSet[c.Fact.Rel] = true
+		var took bool
 		if c.Insert {
 			s.rootInst.Insert(c.Fact.Rel, c.Fact.Tuple)
-			if s.sl.Has(c.Fact.Rel) {
-				s.global.Insert(c.Fact.Rel, c.Fact.Tuple)
-			}
+			took = s.sl.Has(c.Fact.Rel) && s.global.Insert(c.Fact.Rel, c.Fact.Tuple)
 		} else {
 			s.rootInst.Delete(c.Fact.Rel, c.Fact.Tuple)
-			if s.sl.Has(c.Fact.Rel) {
-				s.global.Delete(c.Fact.Rel, c.Fact.Tuple)
-			}
+			took = s.sl.Has(c.Fact.Rel) && s.global.Delete(c.Fact.Rel, c.Fact.Tuple)
+		}
+		if took {
+			sliced = append(sliced, c)
 		}
 	}
 	s.seq += uint64(len(changes))
-	changed := make([]string, 0, len(changedSet))
-	for rel := range changedSet {
-		changed = append(changed, rel)
-	}
-	sort.Strings(changed)
 
-	ans, noRepairs, ok, err := s.st.Answers(s.global, changed, q, vars, repair.Options{Parallelism: par})
+	ans, noRepairs, ok, err := s.st.Answers(s.global, sliced, q, vars, repair.Options{Parallelism: par})
 	if !ok || err != nil {
 		// An exactness gate failed (or evaluation errored, which the
 		// full path reports canonically): fall back. The series state

@@ -25,9 +25,13 @@ type Change struct {
 // itself does not allow concurrent mutation, but a reader may snapshot
 // the journal while a writer on another goroutine appends.
 type Journal struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// buf[head:] holds the kept changes, oldest first. Trimming advances
+	// head; the backing array is compacted once head reaches cap, so a
+	// record moves at most one change's worth of memory amortized.
 	buf  []Change
-	base uint64 // sequence number of buf[0]
+	head int
+	base uint64 // sequence number of buf[head]
 	cap  int
 }
 
@@ -51,7 +55,7 @@ func NewJournal(cap int) *Journal {
 func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.base + uint64(len(j.buf))
+	return j.base + uint64(len(j.buf)-j.head)
 }
 
 // Since returns a copy of the changes recorded at sequence numbers
@@ -61,11 +65,11 @@ func (j *Journal) Seq() uint64 {
 func (j *Journal) Since(seq uint64) (changes []Change, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	end := j.base + uint64(len(j.buf))
+	end := j.base + uint64(len(j.buf)-j.head)
 	if seq < j.base || seq > end {
 		return nil, false
 	}
-	tail := j.buf[seq-j.base:]
+	tail := j.buf[j.head+int(seq-j.base):]
 	if len(tail) == 0 {
 		return nil, true
 	}
@@ -74,14 +78,21 @@ func (j *Journal) Since(seq uint64) (changes []Change, ok bool) {
 	return out, true
 }
 
-// record appends one change, trimming the oldest entries beyond cap.
+// record appends one change, trimming the oldest entry beyond cap.
 func (j *Journal) record(f Fact, insert bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.buf = append(j.buf, Change{Fact: f, Insert: insert})
-	if over := len(j.buf) - j.cap; over > 0 {
-		j.base += uint64(over)
-		j.buf = append(j.buf[:0], j.buf[over:]...)
+	if len(j.buf)-j.head > j.cap {
+		j.buf[j.head] = Change{} // release the trimmed fact
+		j.head++
+		j.base++
+	}
+	if j.head >= j.cap {
+		n := copy(j.buf, j.buf[j.head:])
+		clear(j.buf[n:])
+		j.buf = j.buf[:n]
+		j.head = 0
 	}
 }
 

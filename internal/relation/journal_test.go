@@ -93,3 +93,65 @@ func TestJournalIncrDerivedInstancesDetach(t *testing.T) {
 		t.Fatalf("RestrictRels inherited the journal")
 	}
 }
+
+// TestJournalTrimMatchesReference records 3×cap+k changes and, after
+// every record, compares Seq and Since at every sequence number with a
+// naive reference that keeps the whole history: exactly the last cap
+// changes stay visible, whatever the compaction state.
+func TestJournalTrimMatchesReference(t *testing.T) {
+	for _, cap := range []int{1, 2, 5, 16} {
+		j := NewJournal(cap)
+		var all []Change
+		for i := 0; i < 3*cap+cap/2+1; i++ {
+			c := Change{Fact: Fact{Rel: "r", Tuple: Tuple{string(rune('a' + i%26)), string(rune('a' + i/26))}}, Insert: i%3 != 0}
+			j.record(c.Fact, c.Insert)
+			all = append(all, c)
+			if got := j.Seq(); got != uint64(len(all)) {
+				t.Fatalf("cap %d, %d records: Seq = %d", cap, len(all), got)
+			}
+			oldest := len(all) - cap
+			if oldest < 0 {
+				oldest = 0
+			}
+			for seq := 0; seq <= len(all)+1; seq++ {
+				got, ok := j.Since(uint64(seq))
+				wantOK := seq >= oldest && seq <= len(all)
+				if ok != wantOK {
+					t.Fatalf("cap %d, %d records: Since(%d) ok = %v, want %v", cap, len(all), seq, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				want := all[seq:]
+				if len(want) == 0 {
+					want = nil
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("cap %d, %d records: Since(%d) = %v, want %v", cap, len(all), seq, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkJournalRecord times one record while the journal fills and
+// once it is full and trimming: the two must cost about the same.
+func BenchmarkJournalRecord(b *testing.B) {
+	f := Fact{Rel: "r", Tuple: Tuple{"a", "b"}}
+	b.Run("filling", func(b *testing.B) {
+		j := NewJournal(b.N + 1)
+		for i := 0; i < b.N; i++ {
+			j.record(f, i%2 == 0)
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		j := NewJournal(0)
+		for i := 0; i < DefaultJournalCap; i++ {
+			j.record(f, i%2 == 0)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j.record(f, i%2 == 0)
+		}
+	})
+}

@@ -1,14 +1,16 @@
 // Incremental re-answering under write traffic: the delta-driven
 // counterpart of the conflict-localized engine (localize.go). An
 // IncrState keeps, across a series of fact-level deltas to one evolving
-// instance, the per-dependency violation lists, the full-TGD witness
-// facts and a cache of solved conflict components. On a delta it
-// re-checks only the dependencies whose predicates the delta touches
-// (constraint.DepIndex.Affected), rebuilds the component partition from
-// the refreshed violation lists, re-runs the wave search only for the
-// components the delta could have influenced, and re-answers the query
-// from the patched component repairs — untouched components' repair
-// deltas are reused verbatim.
+// instance, the per-dependency violation lists, the full-TGD head-fact
+// support counts and a cache of solved conflict components. On a delta
+// it brings the lists and counts of the dependencies whose predicates
+// the delta touches (constraint.DepIndex.Affected) up to date through
+// the delta kernel (constraint.ViolationsDelta, BodyMatchesDelta), which
+// re-checks only the matches the changed facts touch. It then rebuilds
+// the component partition from the refreshed violation lists, re-runs
+// the wave search only for the components the delta could have
+// influenced, and re-answers the query from the patched component
+// repairs — untouched components' repair deltas are reused verbatim.
 //
 // Reusing a cached component is sound when the delta is disjoint from
 // the component's read set: every predicate whose content the
@@ -38,6 +40,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/relation"
 	"repro/internal/symtab"
+	"repro/internal/term"
 )
 
 // IncrState is the persistent incremental-answering state for one
@@ -57,11 +60,12 @@ type IncrState struct {
 	bodyPreds  map[string]bool
 	fullTGDs   []int
 
-	// Per-dependency dynamic state, refreshed only for the delta's
-	// affected dependencies.
-	seeded       bool
-	vios         [][]constraint.Violation
-	witnessFacts [][]string
+	// Per-dependency dynamic state, derived from the delta for the
+	// delta's affected dependencies: the violation lists, and each full
+	// TGD's head-fact support counts (headSupport).
+	seeded  bool
+	vios    [][]constraint.Violation
+	support []map[string]int
 
 	// cache maps a component's sorted violation-key join to its solved
 	// repairs; entries are purged as soon as a delta touches their read
@@ -129,20 +133,20 @@ func NewIncrState(deps []*constraint.Dependency, fixed map[string]bool) (*IncrSt
 func (st *IncrState) reset() {
 	st.seeded = false
 	st.vios = nil
-	st.witnessFacts = nil
+	st.support = nil
 	st.cache = map[string]*incrComp{}
 }
 
 // Answers computes the consistent answers of q over the repairs of inst
 // w.r.t. the state's dependencies, reusing component repairs cached
-// from earlier calls. changed lists the predicates whose content may
-// have differed since the previous call (ignored on the first call);
-// every delta to the instance must be reported through exactly one
-// Answers call. noRepairs reports the no-repairs outcome (the caller
-// maps it to its no-solutions convention). ok is false when an
-// exactness gate fails and the caller must fall back to the full
-// recompute; the state stays consistent with inst either way.
-func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquery.Formula, vars []string, opt Options) (ans []relation.Tuple, noRepairs bool, ok bool, err error) {
+// from earlier calls. changes lists the membership changes made to inst
+// since the previous call, in order (ignored on the first call); every
+// change to the instance must be reported through exactly one Answers
+// call. noRepairs reports the no-repairs outcome (the caller maps it to
+// its no-solutions convention). ok is false when an exactness gate fails
+// and the caller must fall back to the full recompute; the state stays
+// consistent with inst either way.
+func (st *IncrState) Answers(inst *relation.Instance, changes []relation.Change, q foquery.Formula, vars []string, opt Options) (ans []relation.Tuple, noRepairs bool, ok bool, err error) {
 	if opt.NoLocalize || opt.MaxRepairs > 0 || !domainFreeQuery(q) {
 		return nil, false, false, nil
 	}
@@ -151,35 +155,14 @@ func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquer
 		maxDelta = inst.Size() + 64
 	}
 
-	// Refresh the per-dependency state: everything on the first call,
-	// only the affected dependencies afterwards.
-	var affected []int
-	if !st.seeded {
-		st.vios = make([][]constraint.Violation, len(st.deps))
-		st.witnessFacts = make([][]string, len(st.deps))
-		affected = make([]int, len(st.deps))
-		for i := range affected {
-			affected[i] = i
-		}
-	} else {
-		affected = st.depIdx.Affected(changed)
+	// Refresh the per-dependency state: from scratch on the first call,
+	// from the net delta for the affected dependencies afterwards.
+	delta := constraint.NetDelta(changes)
+	changed := delta.AppendPreds(nil)
+	if err := st.refresh(inst, delta, changed); err != nil {
+		st.reset()
+		return nil, false, false, nil
 	}
-	isFullTGD := func(i int) bool {
-		d := st.deps[i]
-		return d.IsTGD() && len(d.ExVars) == 0
-	}
-	for _, i := range affected {
-		vs, verr := st.deps[i].Violations(inst)
-		if verr != nil {
-			st.reset()
-			return nil, false, false, nil
-		}
-		st.vios[i] = vs
-		if isFullTGD(i) {
-			st.witnessFacts[i] = fullTGDHeadFacts(inst, st.deps[i])
-		}
-	}
-	st.seeded = true
 
 	// Purge every cached component the delta could have influenced;
 	// the survivors' reuse is sound (see the package comment).
@@ -205,12 +188,17 @@ func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquer
 		bodyPreds:   st.bodyPreds,
 	}
 	for _, i := range st.fullTGDs {
-		for _, g := range st.witnessFacts[i] {
+		for g := range st.support[i] {
 			ctx.witnessDeps[g] = append(ctx.witnessDeps[g], i)
 		}
 	}
 	infos := violationInfosWith(inst, st.deps, vios, st.fixed, ctx)
 	comps := buildComponentsFrom(vios, infos)
+	depOf := map[*constraint.Dependency]int{}
+	for i, d := range st.deps {
+		depOf[d] = i
+	}
+	vioKeys, skip := rootKeys(vios, depOf, len(st.deps))
 
 	keys := make([]string, len(comps))
 	resolved := make([]*incrComp, len(comps))
@@ -218,7 +206,7 @@ func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquer
 	for ci, g := range comps {
 		ks := make([]string, len(g))
 		for i, vi := range g {
-			ks[i] = vios[vi].Key()
+			ks[i] = vioKeys[vi]
 		}
 		sort.Strings(ks)
 		keys[ci] = strings.Join(ks, "\x1d")
@@ -232,35 +220,14 @@ func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquer
 	// Search the unresolved components, mirroring tryLocalize: one
 	// sequential wave search per component with the other components'
 	// root violations frozen, fanned out across the worker pool.
-	depOf := map[*constraint.Dependency]int{}
-	for i, d := range st.deps {
-		depOf[d] = i
-	}
 	searchers, serr := parallel.MapErr(len(searchIdx), parallel.Workers(opt.Parallelism), func(k int) (*searcher, error) {
-		ci := searchIdx[k]
 		innerOpt := opt
 		innerOpt.Parallelism = 1
 		innerOpt.Fixed = st.fixed
 		innerOpt.MaxDelta = maxDelta
 		s := &searcher{orig: inst, deps: st.deps, opt: innerOpt, facts: st.facts, front: newFrontier(), depIdx: st.depIdx}
 		s.front.noSubsume = true
-		s.skip = make([]map[string]bool, len(st.deps))
-		s.rootVios = make([][]constraint.Violation, len(st.deps))
-		mine := map[int]bool{}
-		for _, vi := range comps[ci] {
-			mine[vi] = true
-		}
-		for vi, v := range vios {
-			di := depOf[v.Dep]
-			if mine[vi] {
-				s.rootVios[di] = append(s.rootVios[di], v)
-				continue
-			}
-			if s.skip[di] == nil {
-				s.skip[di] = map[string]bool{}
-			}
-			s.skip[di][v.Key()] = true
-		}
+		s.own(comps[searchIdx[k]], vios, vioKeys, depOf, skip)
 		return s, s.run()
 	})
 	if serr != nil {
@@ -334,6 +301,51 @@ func (st *IncrState) Answers(inst *relation.Instance, changed []string, q foquer
 	}
 	ans, err = IntersectAnswersOpt(insts, q, vars, opt)
 	return ans, false, true, err
+}
+
+// refresh brings the violation lists and support counts up to date with
+// inst: all of them on the first call, afterwards those of the
+// dependencies mentioning a changed predicate, from the delta.
+func (st *IncrState) refresh(inst *relation.Instance, delta constraint.Delta, changed []string) error {
+	if !st.seeded {
+		st.vios = make([][]constraint.Violation, len(st.deps))
+		st.support = make([]map[string]int, len(st.deps))
+		for i, d := range st.deps {
+			vs, err := d.Violations(inst)
+			if err != nil {
+				return err
+			}
+			st.vios[i] = vs
+			if d.IsFullTGD() {
+				if st.support[i], err = headSupport(inst, d); err != nil {
+					return err
+				}
+			}
+		}
+		st.seeded = true
+		return nil
+	}
+	for _, i := range st.depIdx.Affected(changed) {
+		d := st.deps[i]
+		vs, err := d.ViolationsDelta(st.vios[i], inst, delta, nil)
+		if err != nil {
+			return err
+		}
+		st.vios[i] = vs
+		if d.IsFullTGD() {
+			if err := d.BodyMatchesDelta(inst, delta, func(s term.Subst, created bool) error {
+				n := 1
+				if !created {
+					n = -1
+				}
+				countHeads(st.support[i], d, s, n)
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // compReadPreds computes a component's read set: the predicates a

@@ -2,8 +2,10 @@ package repair
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/constraint"
 	"repro/internal/foquery"
@@ -39,26 +41,50 @@ func mustParse(t *testing.T, q string) foquery.Formula {
 	return f
 }
 
+// journaled records the writes a test makes to an instance, so each
+// Answers call can be handed exactly the changes made since the last.
+type journaled struct {
+	j   *relation.Journal
+	seq uint64
+}
+
+func journal(inst *relation.Instance) *journaled {
+	j := relation.NewJournal(0)
+	inst.SetJournal(j)
+	return &journaled{j: j}
+}
+
+// since returns the changes recorded since its previous call.
+func (w *journaled) since(t *testing.T) []relation.Change {
+	t.Helper()
+	changes, ok := w.j.Since(w.seq)
+	if !ok {
+		t.Fatal("journal trimmed a test's writes")
+	}
+	w.seq = w.j.Seq()
+	return changes
+}
+
 // requireIncrMatchesFull asserts the incremental answer equals the
 // full ConsistentAnswers recompute, byte for byte.
-func requireIncrMatchesFull(t *testing.T, st *IncrState, inst *relation.Instance, changed []string, deps []*constraint.Dependency, q foquery.Formula, vars []string, opt Options) {
+func requireIncrMatchesFull(t *testing.T, st *IncrState, inst *relation.Instance, changes []relation.Change, deps []*constraint.Dependency, q foquery.Formula, vars []string, opt Options) {
 	t.Helper()
-	got, noRepairs, ok, err := st.Answers(inst, changed, q, vars, opt)
+	got, noRepairs, ok, err := st.Answers(inst, changes, q, vars, opt)
 	if !ok {
-		t.Fatalf("incremental path fell back (changed=%v)", changed)
+		t.Fatalf("incremental path fell back (changes=%v)", changes)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noRepairs {
-		t.Fatalf("unexpected noRepairs outcome (changed=%v)", changed)
+		t.Fatalf("unexpected noRepairs outcome (changes=%v)", changes)
 	}
 	want, werr := ConsistentAnswers(inst.Clone(), deps, q, vars, opt)
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("incremental answers diverge (changed=%v):\nincr %v\nfull %v", changed, got, want)
+		t.Fatalf("incremental answers diverge (changes=%v):\nincr %v\nfull %v", changes, got, want)
 	}
 }
 
@@ -73,8 +99,10 @@ func TestIncrAnswersMatchesFullAcrossDeltas(t *testing.T) {
 	vars := []string{"X", "Y"}
 	opt := Options{}
 
+	w := journal(inst)
+
 	// Cold call seeds every component.
-	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, opt)
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
 	if got := st.CachedComponents(); got != k {
 		t.Fatalf("cached components = %d, want %d", got, k)
 	}
@@ -82,22 +110,125 @@ func TestIncrAnswersMatchesFullAcrossDeltas(t *testing.T) {
 	// Delta 1: fresh clean fact in an untouched relation — only r2's
 	// component is re-searched, the rest are reused.
 	inst.Insert("r2", relation.Tuple{"fresh0", "v"})
-	requireIncrMatchesFull(t, st, inst, []string{"r2"}, deps, q, vars, opt)
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
 
 	// Delta 2: a write that creates a brand-new conflict in r3.
 	inst.Insert("r3", relation.Tuple{"c3", "x"})
-	requireIncrMatchesFull(t, st, inst, []string{"r3"}, deps, q, vars, opt)
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
 
 	// Delta 3: resolve r1's conflict by deleting one side.
 	inst.Delete("r1", relation.Tuple{"c1", "w"})
-	requireIncrMatchesFull(t, st, inst, []string{"r1"}, deps, q, vars, opt)
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
 
 	// Delta 4: a write into the queried relation itself.
 	inst.Insert("r0", relation.Tuple{"freshq", "v"})
-	requireIncrMatchesFull(t, st, inst, []string{"r0"}, deps, q, vars, opt)
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
 
-	// Delta 5: empty delta — everything served from the component cache.
-	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, opt)
+	// Delta 5: a write and its undo cancel — the component cache
+	// survives whole.
+	cached := st.CachedComponents()
+	inst.Delete("r2", relation.Tuple{"c2", "u"})
+	inst.Insert("r2", relation.Tuple{"c2", "u"})
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
+	if got := st.CachedComponents(); got != cached {
+		t.Fatalf("cached components after a cancelled write = %d, want %d", got, cached)
+	}
+
+	// Delta 6: empty delta — everything served from the component cache.
+	requireIncrMatchesFull(t, st, inst, w.since(t), deps, q, vars, opt)
+}
+
+// TestIncrListsMatchFreshAfterEveryWrite is a white-box check of the
+// delta-derived state: after each Answers call in a random write
+// sequence, every dependency's cached violation list equals a fresh
+// Violations(inst), element for element, and every full TGD's support
+// counts equal a fresh count, whether or not the writes touched the
+// dependency. The dependencies are recheckDeps' five plus a full TGD
+// over a join. Answers that pass the exactness gates must equal the
+// full recompute.
+func TestIncrListsMatchFreshAfterEveryWrite(t *testing.T) {
+	x, y, z := term.V("X"), term.V("Y"), term.V("Z")
+	deps := append(recheckDeps(), &constraint.Dependency{
+		Name: "join_rs",
+		Body: []term.Atom{term.NewAtom("r", x, y), term.NewAtom("s", y, z)},
+		Head: []term.Atom{term.NewAtom("t", x, z)},
+	})
+	fixed := map[string]bool{"t": true}
+	rels := []string{"r", "s", "t"}
+	vals := []string{"a", "b", "c"}
+	q := mustParse(t, "r(X,Y)")
+	vars := []string{"X", "Y"}
+	answered := 0
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		randFact := func() relation.Fact {
+			return relation.Fact{Rel: rels[rng.Intn(len(rels))], Tuple: relation.Tuple{vals[rng.Intn(3)], vals[rng.Intn(3)]}}
+		}
+		inst := relation.NewInstance()
+		for i := 3 + rng.Intn(8); i > 0; i-- {
+			f := randFact()
+			inst.Insert(f.Rel, f.Tuple)
+		}
+		st, ok := NewIncrState(deps, fixed)
+		if !ok {
+			t.Fatal("NewIncrState refused the problem")
+		}
+		w := journal(inst)
+		for step := 0; step < 8; step++ {
+			if step > 0 {
+				for i := 1 + rng.Intn(3); i > 0; i-- {
+					if f := randFact(); rng.Intn(2) == 0 {
+						inst.Insert(f.Rel, f.Tuple)
+					} else if ts := inst.Tuples(f.Rel); len(ts) > 0 {
+						inst.Delete(f.Rel, ts[rng.Intn(len(ts))])
+					}
+				}
+			}
+			got, noRepairs, ok, err := st.Answers(inst, w.since(t), q, vars, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range deps {
+				fresh, err := d.Violations(inst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(violationKeys(st.vios[i]), violationKeys(fresh)) {
+					t.Errorf("seed %d step %d, %s on %s:\ncached: %q\nfresh:  %q", seed, step, d.Name, inst, violationKeys(st.vios[i]), violationKeys(fresh))
+					return false
+				}
+				if d.IsFullTGD() {
+					want, err := headSupport(inst, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(st.support[i], want) {
+						t.Errorf("seed %d step %d, %s support on %s:\ncached: %v\nfresh:  %v", seed, step, d.Name, inst, st.support[i], want)
+						return false
+					}
+				}
+			}
+			if !ok || noRepairs {
+				continue
+			}
+			answered++
+			want, err := ConsistentAnswers(inst.Clone(), deps, q, vars, Options{Fixed: fixed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d step %d: answers diverge on %s:\nincr %v\nfull %v", seed, step, inst, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if answered == 0 {
+		t.Fatal("generator too weak: no call passed the exactness gates")
+	}
 }
 
 func TestIncrConsistentInstance(t *testing.T) {

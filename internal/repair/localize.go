@@ -119,28 +119,13 @@ func tryLocalize(inst *relation.Instance, deps []*constraint.Dependency, opt Opt
 	}
 	depIdx := constraint.NewDepIndex(deps)
 	facts := symtab.New()
+	keys, skip := rootKeys(vios, depOf, len(deps))
 	searchers, err := parallel.MapErr(len(comps), parallel.Workers(opt.Parallelism), func(ci int) (*searcher, error) {
 		innerOpt := opt
 		innerOpt.Parallelism = 1 // components are the unit of fan-out
 		s := &searcher{orig: inst, deps: deps, opt: innerOpt, facts: facts, front: newFrontier(), depIdx: depIdx}
 		s.front.noSubsume = true
-		s.skip = make([]map[string]bool, len(deps))
-		s.rootVios = make([][]constraint.Violation, len(deps))
-		mine := map[int]bool{}
-		for _, vi := range comps[ci] {
-			mine[vi] = true
-		}
-		for vi, v := range vios {
-			di := depOf[v.Dep]
-			if mine[vi] {
-				s.rootVios[di] = append(s.rootVios[di], v)
-				continue
-			}
-			if s.skip[di] == nil {
-				s.skip[di] = map[string]bool{}
-			}
-			s.skip[di][v.Key()] = true
-		}
+		s.own(comps[ci], vios, keys, depOf, skip)
 		return s, s.run()
 	})
 	if err != nil {
@@ -286,8 +271,9 @@ func buildComponentsFrom(vios []constraint.Violation, infos []vioInfo) [][]int {
 
 // depInteraction is the dependency-interaction context of
 // violationInfos, split out so the incremental layer (incr.go) can
-// maintain its instance-dependent part (witnessFacts) across deltas
-// instead of re-enumerating every full TGD's body matches per call.
+// maintain its instance-dependent part (the full TGDs' head-fact
+// support) across deltas instead of re-enumerating every full TGD's
+// body matches per call.
 type depInteraction struct {
 	// witnessDeps[key] lists the full TGDs some body match of which
 	// grounds a head atom to the fact: deleting that fact can un-witness
@@ -323,7 +309,10 @@ func newDepInteraction(inst *relation.Instance, deps []*constraint.Dependency) *
 			}
 			continue
 		}
-		for _, g := range fullTGDHeadFacts(inst, d) {
+		// A match error leaves the support empty: the global engine
+		// reproduces the error canonically if it is real.
+		support, _ := headSupport(inst, d)
+		for g := range support {
 			di.witnessDeps[g] = append(di.witnessDeps[g], i)
 		}
 	}
@@ -405,32 +394,41 @@ func violationInfosWith(inst *relation.Instance, deps []*constraint.Dependency, 
 	return infos
 }
 
-// fullTGDHeadFacts enumerates the head groundings of every body match
-// of a full TGD over the instance — the facts whose deletion can
-// un-witness a match, creating a new violation of the dependency.
-// Match errors degrade to nil (no facts recorded): the global engine
-// reproduces the error canonically if it is real.
-func fullTGDHeadFacts(inst *relation.Instance, d *constraint.Dependency) []string {
-	var out []string
-	seen := map[string]bool{}
+// headSupport counts, for every fact a head atom of the full TGD
+// grounds to under some body match over the instance, the body matches
+// that ground a head atom to it. Deleting such a fact can un-witness a
+// match, creating a new violation of the dependency; the counts let the
+// incremental layer keep the set current from deltas (countHeads).
+func headSupport(inst *relation.Instance, d *constraint.Dependency) (map[string]int, error) {
+	support := map[string]int{}
 	err := d.BodyMatches(inst, func(s term.Subst) error {
-		for _, h := range d.Head {
-			g := s.Apply(h)
-			if !g.IsGround() {
-				continue
-			}
-			key := atomFact(g).IDKey()
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, key)
-			}
-		}
+		countHeads(support, d, s, 1)
 		return nil
 	})
-	if err != nil {
-		return nil
+	return support, err
+}
+
+// countHeads adds n to the support of every distinct fact the head
+// atoms ground to under the match s, forgetting facts left without any.
+func countHeads(support map[string]int, d *constraint.Dependency, s term.Subst, n int) {
+	var keys []string
+next:
+	for _, h := range d.Head {
+		g := s.Apply(h)
+		if !g.IsGround() {
+			continue
+		}
+		key := atomFact(g).IDKey()
+		for _, k := range keys {
+			if k == key {
+				continue next
+			}
+		}
+		keys = append(keys, key)
+		if support[key] += n; support[key] == 0 {
+			delete(support, key)
+		}
 	}
-	return out
 }
 
 // cascadeClosure computes the mutable-predicate dependency closure of

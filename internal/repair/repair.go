@@ -107,10 +107,64 @@ type searcher struct {
 	// dependencies whose predicates intersect the touched facts are
 	// re-checked, against the violation lists carried on the node —
 	// and skip hides the frozen root violations of the other conflict
-	// components (keyed per dependency by Violation.Key).
-	depIdx   *constraint.DepIndex
-	skip     []map[string]bool
-	rootVios [][]constraint.Violation
+	// components: per dependency, a Key in skip but not in mine (the
+	// component's own root violations). Component searches share one
+	// skip table holding every root violation (rootKeys).
+	depIdx     *constraint.DepIndex
+	skip, mine []map[string]bool
+	rootVios   [][]constraint.Violation
+}
+
+// rootKeys renders the Key of each root violation once and indexes the
+// keys per dependency: the skip table every component search shares.
+func rootKeys(vios []constraint.Violation, depOf map[*constraint.Dependency]int, ndeps int) ([]string, []map[string]bool) {
+	keys := make([]string, len(vios))
+	skip := make([]map[string]bool, ndeps)
+	for vi, v := range vios {
+		di := depOf[v.Dep]
+		if skip[di] == nil {
+			skip[di] = map[string]bool{}
+		}
+		keys[vi] = v.Key()
+		skip[di][keys[vi]] = true
+	}
+	return keys, skip
+}
+
+// own sets a component search up: it starts from the component's root
+// violations, and the shared skip table hides all the others.
+func (s *searcher) own(comp []int, vios []constraint.Violation, keys []string, depOf map[*constraint.Dependency]int, skip []map[string]bool) {
+	s.skip = skip
+	s.mine = make([]map[string]bool, len(s.deps))
+	s.rootVios = make([][]constraint.Violation, len(s.deps))
+	for _, vi := range comp {
+		di := depOf[vios[vi].Dep]
+		if s.mine[di] == nil {
+			s.mine[di] = map[string]bool{}
+		}
+		s.mine[di][keys[vi]] = true
+		s.rootVios[di] = append(s.rootVios[di], vios[vi])
+	}
+}
+
+// hidden returns dependency i's test for the frozen root violations of
+// other components, or nil when there are none to hide.
+func (s *searcher) hidden(i int) func(constraint.Violation) bool {
+	if len(s.skip[i]) == 0 {
+		return nil
+	}
+	skip := s.skip[i]
+	var mine map[string]bool
+	if s.mine != nil {
+		mine = s.mine[i]
+	}
+	if len(mine) == len(skip) {
+		return nil // every root violation of the dependency is ours
+	}
+	return func(v constraint.Violation) bool {
+		k := v.Key()
+		return skip[k] && !mine[k]
+	}
 }
 
 // node is one state of the search, identified by its fact-id delta
@@ -300,23 +354,24 @@ func (s *searcher) expand(nd node) (expansion, error) {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 	var cur *relation.Instance
+	var delta constraint.Delta
 	if nd.root {
 		cur = s.orig.Clone()
 	} else {
 		cur = nd.parent.Clone()
-		nd.act.apply(cur)
+		delta = nd.act.apply(cur)
 	}
 	var v *constraint.Violation
 	var vios [][]constraint.Violation
 	var err error
 	if s.depIdx != nil {
 		// Component mode: derive the node's violation lists from the
-		// parent's by re-checking only the touched dependencies, then
-		// pick the first remaining violation (dependency order, match
-		// order — the order FirstViolation would use).
+		// parent's and the action's delta, then pick the first remaining
+		// violation (dependency order, match order — the order
+		// FirstViolation would use).
 		vios = nd.vios
 		if !nd.root {
-			vios, err = s.recheck(nd.vios, nd.act, cur, sc)
+			vios, err = s.recheck(nd.vios, delta, cur, sc)
 			if err != nil {
 				return expansion{}, err
 			}
@@ -352,62 +407,24 @@ func (s *searcher) expand(nd node) (expansion, error) {
 }
 
 // recheck derives a state's per-dependency violation lists from its
-// parent's after an action: a dependency's violations depend only on
-// the facts of the predicates it mentions, so only the dependencies
-// indexed under the action's touched predicates are recomputed (against
-// the current instance, minus the frozen violations of the other
-// conflict components); every other list is shared with the parent.
-// When the action only deletes, a dependency without head atoms is not
-// recomputed either: its new list is the parent's minus the violations
-// whose body uses a deleted fact (constraint.WithoutFacts), which is
-// exactly Violations(cur), in order, with the skip set already applied.
-func (s *searcher) recheck(parent [][]constraint.Violation, act action, cur *relation.Instance, sc *expandScratch) ([][]constraint.Violation, error) {
-	// Actions touch a handful of predicates; dedup by linear scan over
-	// the pooled buffer instead of allocating a map per candidate.
-	preds := sc.preds[:0]
-	addPred := func(rel string) {
-		for _, p := range preds {
-			if p == rel {
-				return
-			}
-		}
-		preds = append(preds, rel)
-	}
-	for _, f := range act.deletes {
-		addPred(f.Rel)
-	}
-	for _, f := range act.inserts {
-		addPred(f.Rel)
-	}
-	sc.preds = preds
+// parent's and the net delta of the action that led to it: only the
+// dependencies indexed under the delta's predicates can change, and
+// each of those is brought up to date by the delta kernel
+// (constraint.ViolationsDelta), which re-checks just the matches the
+// delta touches and leaves out the frozen violations of the other
+// conflict components. Every other list is shared with the parent.
+func (s *searcher) recheck(parent [][]constraint.Violation, d constraint.Delta, cur *relation.Instance, sc *expandScratch) ([][]constraint.Violation, error) {
+	sc.preds = d.AppendPreds(sc.preds[:0])
 	out := make([][]constraint.Violation, len(parent))
 	copy(out, parent)
-	for _, i := range s.depIdx.Affected(preds) {
-		if filtersOnDelete(s.deps[i], act) {
-			out[i] = constraint.WithoutFacts(parent[i], act.deletes)
-			continue
-		}
-		vs, err := s.deps[i].Violations(cur)
+	for _, i := range s.depIdx.Affected(sc.preds) {
+		vs, err := s.deps[i].ViolationsDelta(parent[i], cur, d, s.hidden(i))
 		if err != nil {
 			return nil, err
 		}
-		kept := vs[:0]
-		for _, v := range vs {
-			if !s.skip[i][v.Key()] {
-				kept = append(kept, v)
-			}
-		}
-		out[i] = kept
+		out[i] = vs
 	}
 	return out, nil
-}
-
-// filtersOnDelete reports whether recheck derives d's violations after
-// act by filtering the parent's list. A TGD cannot be filtered (deleting
-// a head witness creates violations), nor can any action that inserts
-// (inserted facts create body matches); both recompute.
-func filtersOnDelete(d *constraint.Dependency, act action) bool {
-	return len(act.inserts) == 0 && !d.IsTGD()
 }
 
 // childDelta derives a child state's fact-id delta bitset (and its
@@ -446,13 +463,22 @@ type action struct {
 	inserts []relation.Fact
 }
 
-func (a action) apply(in *relation.Instance) {
+// apply performs the action on the instance and returns the net delta
+// it made: deleting an absent fact or inserting a present one changes
+// nothing, and a fact named twice changes once.
+func (a action) apply(in *relation.Instance) constraint.Delta {
+	var changes []relation.Change
 	for _, f := range a.deletes {
-		in.Delete(f.Rel, f.Tuple)
+		if in.Delete(f.Rel, f.Tuple) {
+			changes = append(changes, relation.Change{Fact: f})
+		}
 	}
 	for _, f := range a.inserts {
-		in.Insert(f.Rel, f.Tuple)
+		if in.Insert(f.Rel, f.Tuple) {
+			changes = append(changes, relation.Change{Fact: f, Insert: true})
+		}
 	}
+	return constraint.NetDelta(changes)
 }
 
 // actions enumerates the ways of fixing a violation: deleting any one
