@@ -1,7 +1,9 @@
 // Package repro's root benchmarks: one testing.B benchmark per
-// experiment row of EXPERIMENTS.md (E-series fidelity checks appear as
-// correctness-verifying benchmarks; B-series scaling rows as parameter
-// sweeps via sub-benchmarks). Regenerate everything with
+// experiment of cmd/p2pbench (p2pbench -list names them; E-series
+// fidelity checks appear as correctness-verifying benchmarks, whose
+// expected fidelity lines TestAllExperimentsRun in cmd/p2pbench checks;
+// B-series scaling rows as parameter sweeps via sub-benchmarks).
+// Regenerate everything with
 //
 //	go test -bench=. -benchmem
 //
@@ -404,6 +406,27 @@ func BenchmarkChainDirect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSameTrustSolve answers ra0(X,Y) at A of the sliced
+// ChurnUniverse(4,50) at Parallelism 1: the remote-fresh solve. A has
+// same-trust DECs only, so its solutions are the repairs of one
+// problem, which the conflict-localized engine splits into one
+// component per conflict and returns in canonical order.
+func BenchmarkSameTrustSolve(b *testing.B) {
+	s := workload.ChurnUniverse(4, 50, 1)
+	q := foquery.MustParse("ra0(X,Y)")
+	sl, err := slice.ForQuery(s, "A", q, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.SolveOptions{Parallelism: 1, KeepDep: sl.KeepDep, RelevantRels: sl.RelevantRels()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.PeerConsistentAnswers(s, "A", q, []string{"X", "Y"}, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkB7ChoiceUnfolding measures the choice-unfolding pipeline.

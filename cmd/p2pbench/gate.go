@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -22,9 +23,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The benchmark regression gate measures the two tentpole hot paths —
-// B5 grounding (facts=100) and B1 repair (n=40) — and compares them
-// against a checked-in baseline (bench/BENCH_baseline.json). Raw times
+// The benchmark regression gate measures the hot paths of gateMetrics,
+// one table row each, and compares them against a checked-in baseline
+// (bench/BENCH_baseline.json). Raw times
 // are not portable across machines, so the gate also measures a fixed
 // CPU-bound calibration loop in the same process and gates on the
 // *normalized* ratios time(bench)/time(calibration): a machine that is
@@ -59,72 +60,59 @@ const (
 	gateB14Reps = 2
 )
 
-// gateResult is the BENCH_*.json schema.
-type gateResult struct {
-	// Parallelism is the -parallelism the measurements ran at.
-	Parallelism int `json:"parallelism"`
-	// CalibNS is the calibration loop time (minimum over rounds).
-	CalibNS int64 `json:"calib_ns"`
-	// B5GroundNS is B5 grounding at facts=100 (minimum over rounds).
-	B5GroundNS int64 `json:"b5_ground_facts100_ns"`
-	// B1RepairNS is B1 repair-engine PCA at n=40 (minimum over rounds).
-	B1RepairNS int64 `json:"b1_repair_n40_ns"`
-	// B9SlicedNS is the B9 wide-universe sliced PCA — slice computation
-	// plus the slice-restricted repair-engine answering, no network
-	// (minimum over rounds).
-	B9SlicedNS int64 `json:"b9_sliced_wide_ns"`
-	// B10LocalNS is the B10 scattered-conflict consistent-answering pass
-	// under the conflict-localized repair engine, k=8 (minimum over
-	// rounds).
-	B10LocalNS int64 `json:"b10_localized_scatter_ns"`
-	// B11DelegNS is the B11 delegated answering pass on the delegation
-	// fanout workload over a zero-latency in-process overlay (minimum
-	// over rounds): the plan + fan-out + composition hot path, no
-	// network delay.
-	B11DelegNS int64 `json:"b11_delegated_fanout_ns"`
-	// B12LargeNS is the B12 large-universe repair+answer pass — CQA over
-	// the columnar memory plane at 20k core facts (minimum over rounds).
-	B12LargeNS int64 `json:"b12_large_universe_ns"`
-	// B13ServeNS is the B13 serving-plane pass: one sequential client
-	// replaying the mixed read/write stream through a serve.Server over
-	// a warm in-process overlay — admission, snapshot/fingerprint/cache
-	// bookkeeping and the write path (minimum over rounds).
-	B13ServeNS int64 `json:"b13_serve_stream_ns"`
-	// B14ChurnNS is the B14 incremental-maintenance pass: a reversible
-	// churn loop (single relevant write, then the hot query answered by
-	// patching the live series) over a warm ChurnUniverse overlay
-	// (minimum over rounds).
-	B14ChurnNS int64 `json:"b14_churn_incr_ns"`
-	// B5Norm..B12Norm are the machine-independent gate metrics: bench
-	// time divided by calibration time.
-	B5Norm  float64 `json:"b5_norm"`
-	B1Norm  float64 `json:"b1_norm"`
-	B9Norm  float64 `json:"b9_norm"`
-	B10Norm float64 `json:"b10_norm"`
-	B11Norm float64 `json:"b11_norm"`
-	B12Norm float64 `json:"b12_norm"`
-	B13Norm float64 `json:"b13_norm"`
-	B14Norm float64 `json:"b14_norm"`
-	// *AllocsOp are the per-run heap allocation counts of the same
-	// measured paths (minimum over rounds). Allocation counts are
-	// machine-independent — no calibration needed — and far more stable
-	// than times, so they catch allocation regressions (a dropped buffer
-	// reuse, a map rebuilt per candidate) that time-based gating under
-	// CI noise would let through.
-	B5AllocsOp  int64 `json:"b5_ground_facts100_allocs_op"`
-	B1AllocsOp  int64 `json:"b1_repair_n40_allocs_op"`
-	B9AllocsOp  int64 `json:"b9_sliced_wide_allocs_op"`
-	B10AllocsOp int64 `json:"b10_localized_scatter_allocs_op"`
-	B11AllocsOp int64 `json:"b11_delegated_fanout_allocs_op"`
-	B12AllocsOp int64 `json:"b12_large_universe_allocs_op"`
-	B13AllocsOp int64 `json:"b13_serve_stream_allocs_op"`
-	B14AllocsOp int64 `json:"b14_churn_incr_allocs_op"`
-	// PeakRSSKB is the process's peak resident set size (KB) after all
-	// measurements, as reported by the OS (0 where unsupported).
-	// Recorded for trend inspection, not gated: RSS folds in the Go
-	// heap target, fixture construction and the runner's page cache
-	// behaviour, which vary across environments.
-	PeakRSSKB int64 `json:"peak_rss_kb"`
+// gateResult is one gate measurement, the BENCH_*.json schema: a map
+// from key to number. It holds the parallelism the measurements ran at
+// ("parallelism"), the calibration loop time ("calib_ns"), the
+// process's peak resident set size in KB after all measurements
+// ("peak_rss_kb", 0 where unsupported) and, for every row of
+// gateMetrics, three figures under the row's keys:
+//
+//   - <key>_ns: the per-run time of the measured path (minimum over
+//     rounds);
+//   - <id>_norm: that time divided by the calibration time, the
+//     machine-independent gated figure;
+//   - <key>_allocs_op: the per-run heap allocation count (minimum over
+//     rounds). Allocation counts are machine-independent — no
+//     calibration needed — and far more stable than times, so they
+//     catch allocation regressions (a dropped buffer reuse, a map
+//     rebuilt per candidate) that time-based gating under CI noise
+//     would let through; they are gated too.
+//
+// Peak RSS is recorded for trend inspection, not gated: it folds in the
+// Go heap target, fixture construction and the runner's page cache
+// behaviour, which vary across environments.
+type gateResult map[string]float64
+
+// gateMetric is one gated path.
+type gateMetric struct {
+	// name labels the path in the gate's report.
+	name string
+	// key is the stem of the path's JSON keys; its first segment (the
+	// experiment id, e.g. "b5") names the normalized figure.
+	key string
+	// reps is the number of back-to-back runs one timed block holds.
+	reps int
+	// setup builds the measured path at the given parallelism: run is
+	// timed, and done, when non-nil, runs once afterwards to check that
+	// the path measured what it should and to release what setup
+	// started.
+	setup func(par int) (run func() error, done func() error, err error)
+}
+
+func (m gateMetric) nsKey() string     { return m.key + "_ns" }
+func (m gateMetric) normKey() string   { return strings.SplitN(m.key, "_", 2)[0] + "_norm" }
+func (m gateMetric) allocsKey() string { return m.key + "_allocs_op" }
+
+// gateMetrics are the gated paths, in measurement order.
+var gateMetrics = []gateMetric{
+	{"B5 grounding facts=100", "b5_ground_facts100", gateBlockReps, setupGateB5},
+	{"B1 repair n=40", "b1_repair_n40", gateBlockReps, setupGateB1},
+	{"B9 sliced wide-universe", "b9_sliced_wide", gateBlockReps, setupGateB9},
+	{"B10 localized scattered", "b10_localized_scatter", gateBlockReps, setupGateB10},
+	{"B11 delegated fanout", "b11_delegated_fanout", gateBlockReps, setupGateB11},
+	{"B12 large universe", "b12_large_universe", gateB12Reps, setupGateB12},
+	{"B13 serving stream", "b13_serve_stream", gateBlockReps, setupGateB13},
+	{"B14 churn incremental", "b14_churn_incr", gateB14Reps, setupGateB14},
 }
 
 // calibrate runs a fixed workload with the same resource profile as
@@ -191,47 +179,68 @@ func minOver(n, reps int, f func() error) (time.Duration, int64, error) {
 
 // runGateMeasure produces the gate measurements at the given
 // parallelism.
-func runGateMeasure(par int) (*gateResult, error) {
+func runGateMeasure(par int) (gateResult, error) {
 	calib, _, err := minOver(gateRounds, gateBlockReps, calibrate)
 	if err != nil {
 		return nil, err
 	}
+	res := gateResult{"parallelism": float64(par), "calib_ns": float64(calib.Nanoseconds())}
+	for _, m := range gateMetrics {
+		run, done, err := m.setup(par)
+		if err != nil {
+			return nil, err
+		}
+		d, allocs, err := minOver(gateRounds, m.reps, run)
+		if done != nil {
+			if derr := done(); err == nil {
+				err = derr
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		res[m.nsKey()] = float64(d.Nanoseconds())
+		res[m.normKey()] = float64(d.Nanoseconds()) / float64(calib.Nanoseconds())
+		res[m.allocsKey()] = float64(allocs)
+	}
+	res["peak_rss_kb"] = float64(peakRSSKB())
+	return res, nil
+}
 
-	// B5 grounding, facts=100: program built once, grounding timed.
-	s5 := workload.ReferentialShaped(1, 2, 100, 1)
-	prog, _, err := program.BuildDirect(s5, "P")
+// setupGateB5 times B5 grounding, facts=100: the program is built once,
+// grounding is timed.
+func setupGateB5(par int) (func() error, func() error, error) {
+	prog, _, err := program.BuildDirect(workload.ReferentialShaped(1, 2, 100, 1), "P")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	unfolded, err := lp.UnfoldChoice(prog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b5, b5Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
+	return func() error {
 		_, e := ground.GroundOpt(unfolded, ground.Options{Parallelism: par})
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, nil, nil
+}
 
-	// B1 repair-engine PCA, n=40.
+// setupGateB1 times B1 repair-engine PCA, n=40.
+func setupGateB1(par int) (func() error, func() error, error) {
 	s1 := workload.Example1Shaped(40, 3, 2, 1)
 	q := foquery.MustParse("r1(X,Y)")
-	b1, b1Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
+	return func() error {
 		_, e := core.PeerConsistentAnswers(s1, "P1", q, []string{"X", "Y"}, core.SolveOptions{Parallelism: par})
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, nil, nil
+}
 
-	// B9 sliced wide-universe PCA: slice computation plus the
-	// slice-restricted answering over the in-process system (the
-	// network-independent cost of the sliced pipeline).
+// setupGateB9 times B9 sliced wide-universe PCA: slice computation plus
+// the slice-restricted answering over the in-process system (the
+// network-independent cost of the sliced pipeline).
+func setupGateB9(par int) (func() error, func() error, error) {
 	s9 := workload.WideUniverse(8, 3, 40, 2, 1)
 	q9 := foquery.MustParse("q0(X,Y)")
-	b9, b9Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
+	return func() error {
 		sl, e := slice.ForQuery(s9, "P0", q9, false)
 		if e != nil {
 			return e
@@ -242,208 +251,188 @@ func runGateMeasure(par int) (*gateResult, error) {
 			RelevantRels: sl.RelevantRels(),
 		})
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, nil, nil
+}
 
-	// B10 localized scattered-conflict CQA, k=8: conflict-graph
-	// decomposition, per-component searches and the single-component
-	// answer intersection (the localized hot path end to end).
+// setupGateB10 times B10 localized scattered-conflict CQA, k=8:
+// conflict-graph decomposition, per-component searches and the
+// single-component answer intersection (the localized hot path end to
+// end).
+func setupGateB10(par int) (func() error, func() error, error) {
 	s10 := workload.ScatteredConflicts(8, 20, 1)
 	p10, _ := s10.Peer("A")
 	deps10 := p10.DECs["B"]
 	inst10 := s10.Global()
 	q10 := foquery.MustParse("ra0(X,Y)")
-	b10, b10Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
+	return func() error {
 		_, e := repair.ConsistentAnswers(inst10.Clone(), deps10, q10, []string{"X", "Y"}, repair.Options{Parallelism: par})
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, nil, nil
+}
 
-	// B11 delegated answering on the fanout workload over a zero-latency
-	// in-process overlay: spec snapshot, delegation plan, OpPCA fan-out
-	// and the composed solve (the delegated hot path without network
-	// delay). The overlay is deployed once; the measured path includes
-	// the delegates serving their (slice-keyed, warm after the first
-	// round) answer caches, matching a long-lived node's steady state.
-	nodes11, stop11, err := peernet.Deploy(workload.DelegationFanout(3, 20, 4, 40, 1), peernet.NewInProc())
+// setupGateB11 times delegated answering on the fanout workload over a
+// zero-latency in-process overlay: spec snapshot, delegation plan,
+// OpPCA fan-out and the composed solve (the delegated hot path without
+// network delay). The overlay is deployed once; the measured path
+// includes the delegates serving their (slice-keyed, warm after the
+// first round) answer caches, matching a long-lived node's steady
+// state.
+func setupGateB11(par int) (func() error, func() error, error) {
+	nodes, stop, err := peernet.Deploy(workload.DelegationFanout(3, 20, 4, 40, 1), peernet.NewInProc())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer stop11()
-	for _, n := range nodes11 {
+	for _, n := range nodes {
 		n.Parallelism = par
 	}
 	q11 := foquery.MustParse("r0(X,Y)")
-	b11, b11Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
-		var info peernet.DelegationInfo
-		_, e := nodes11["P0"].AnswerQuery(q11, []string{"X", "Y"},
-			peernet.QueryOptions{Transitive: true, Delegate: true, Delegation: &info})
-		if e == nil && !info.Delegated {
-			return fmt.Errorf("B11 gate workload should delegate, fell back: %s", info.Reason)
-		}
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	return func() error {
+			var info peernet.DelegationInfo
+			_, e := nodes["P0"].AnswerQuery(q11, []string{"X", "Y"},
+				peernet.QueryOptions{Transitive: true, Delegate: true, Delegation: &info})
+			if e == nil && !info.Delegated {
+				return fmt.Errorf("B11 gate workload should delegate, fell back: %s", info.Reason)
+			}
+			return e
+		}, func() error {
+			stop()
+			return nil
+		}, nil
+}
 
-	// B12 large-universe repair+answer: CQA over the columnar memory
-	// plane at 20k core facts plus bulk bystander relations — the
-	// million-tuple-universe hot path at a gate-friendly scale. The
-	// per-op clone is COW (shared column segments), so the measured
-	// path is the repair search and answer intersection, not setup.
+// setupGateB12 times B12 large-universe repair+answer: CQA over the
+// columnar memory plane at 20k core facts plus bulk bystander relations
+// — the million-tuple-universe hot path at a gate-friendly scale. The
+// per-op clone is COW (shared column segments), so the measured path is
+// the repair search and answer intersection, not setup.
+func setupGateB12(par int) (func() error, func() error, error) {
 	s12 := workload.LargeUniverse(20000, 4, 4, 500, 1)
 	inst12 := s12.Global()
 	p12, _ := s12.Peer("P0")
 	deps12 := p12.DECs["PK"]
 	q12 := foquery.MustParse("q0(c0,Y)")
-	b12, b12Allocs, err := minOver(gateRounds, gateB12Reps, func() error {
+	return func() error {
 		_, e := repair.ConsistentAnswers(inst12.Clone(), deps12, q12, []string{"Y"}, repair.Options{Parallelism: par})
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
+	}, nil, nil
+}
 
-	// B13 serving plane: one sequential client replays the mixed
-	// read/write stream of the sustained-throughput benchmark through a
-	// serve.Server over a warm in-process overlay — the admission path,
-	// the snapshot/fingerprint/answer-cache bookkeeping of AnswerQuery
-	// and the UpdateLocal write path. The stream's writes re-insert the
-	// same facts on every replay (idempotent keys), so after the first
-	// pass the fingerprints are stable and the minimum block measures
-	// the warm steady state.
-	nodes13, stop13, err := peernet.Deploy(workload.WideUniverse(4, 2, 12, 1, 1), peernet.NewInProc())
+// setupGateB13 times the serving plane: one sequential client replays
+// the mixed read/write stream of the sustained-throughput benchmark
+// through a serve.Server over a warm in-process overlay — the admission
+// path, the snapshot/fingerprint/answer-cache bookkeeping of
+// AnswerQuery and the UpdateLocal write path. The stream's writes
+// re-insert the same facts on every replay (idempotent keys), so after
+// the first pass the fingerprints are stable and the minimum block
+// measures the warm steady state.
+func setupGateB13(par int) (func() error, func() error, error) {
+	nodes, stop, err := peernet.Deploy(workload.WideUniverse(4, 2, 12, 1, 1), peernet.NewInProc())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer stop13()
-	for _, n := range nodes13 {
+	for _, n := range nodes {
 		n.Parallelism = par
 	}
-	nodes13["P0"].CacheTTL = time.Hour
-	srv13 := serve.New(nodes13["P0"], serve.Config{MaxConcurrent: 1, QueryParallelism: par})
-	stream13 := workload.MixedStream(4, 2, 60, 6, 1)
-	parsed13 := map[string]foquery.Formula{}
-	for _, op := range stream13 {
+	nodes["P0"].CacheTTL = time.Hour
+	srv := serve.New(nodes["P0"], serve.Config{MaxConcurrent: 1, QueryParallelism: par})
+	stream := workload.MixedStream(4, 2, 60, 6, 1)
+	parsed := map[string]foquery.Formula{}
+	for _, op := range stream {
 		if !op.Write {
-			if _, ok := parsed13[op.Query]; !ok {
-				parsed13[op.Query] = foquery.MustParse(op.Query)
+			if _, ok := parsed[op.Query]; !ok {
+				parsed[op.Query] = foquery.MustParse(op.Query)
 			}
 		}
 	}
-	b13, b13Allocs, err := minOver(gateRounds, gateBlockReps, func() error {
-		for _, op := range stream13 {
-			if op.Write {
-				if op.Peer == "P0" {
-					if e := srv13.Write(op.Rel, op.Tuple); e != nil {
-						return e
+	return func() error {
+			for _, op := range stream {
+				if op.Write {
+					if op.Peer == "P0" {
+						if e := srv.Write(op.Rel, op.Tuple); e != nil {
+							return e
+						}
+						continue
 					}
+					nodes[op.Peer].UpdateLocal(func(p *core.Peer) {
+						p.Inst.Insert(op.Rel, relation.Tuple(op.Tuple))
+					})
 					continue
 				}
-				nodes13[op.Peer].UpdateLocal(func(p *core.Peer) {
-					p.Inst.Insert(op.Rel, relation.Tuple(op.Tuple))
-				})
-				continue
+				if _, e := srv.Answer(parsed[op.Query], op.Vars, false); e != nil {
+					return e
+				}
 			}
-			if _, e := srv13.Answer(parsed13[op.Query], op.Vars, false); e != nil {
-				return e
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+			return nil
+		}, func() error {
+			stop()
+			return nil
+		}, nil
+}
 
-	// B14 incremental maintenance: a reversible churn loop over a warm
-	// ChurnUniverse deployment — every iteration lands one relevant
-	// single-fact write (the ra0 slice fingerprint moves) and re-asks
-	// the hot query, which the incremental layer answers by patching
-	// its live series instead of recomputing. The second half deletes
-	// the same facts, so every block starts from identical data and the
-	// journal delta never outruns its buffer.
-	d14, err := newChurnDeployment(6, 120, 1, false)
+// setupGateB14 times incremental maintenance: a reversible churn loop
+// over a warm ChurnUniverse deployment — every iteration lands one
+// relevant single-fact write (the ra0 slice fingerprint moves) and
+// re-asks the hot query, which the incremental layer answers by
+// patching its live series instead of recomputing. The second half
+// deletes the same facts, so every block starts from identical data and
+// the journal delta never outruns its buffer. done checks that the loop
+// really patched.
+func setupGateB14(par int) (func() error, func() error, error) {
+	d, err := newChurnDeployment(6, 120, 1, false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer d14.stop()
-	for _, n := range d14.nodes {
+	for _, n := range d.nodes {
 		n.Parallelism = par
 	}
 	q14 := foquery.MustParse("ra0(X,Y)")
 	vars14 := []string{"X", "Y"}
-	if _, err := d14.root.AnswerQuery(q14, vars14, peernet.QueryOptions{}); err != nil {
-		return nil, err
+	if _, err := d.root.AnswerQuery(q14, vars14, peernet.QueryOptions{}); err != nil {
+		d.stop()
+		return nil, nil, err
 	}
-	const b14Steps = 10
-	b14, b14Allocs, err := minOver(gateRounds, gateB14Reps, func() error {
-		for phase := 0; phase < 2; phase++ {
-			for s := 0; s < b14Steps; s++ {
-				rel := fmt.Sprintf("ra%d", 1+s%5)
-				tup := relation.Tuple{fmt.Sprintf("g%d", s), "v"}
-				d14.nodes["A"].UpdateLocal(func(p *core.Peer) {
-					if phase == 0 {
-						p.Inst.Insert(rel, tup)
-					} else {
-						p.Inst.Delete(rel, tup)
+	const steps = 10
+	return func() error {
+			for phase := 0; phase < 2; phase++ {
+				for s := 0; s < steps; s++ {
+					rel := fmt.Sprintf("ra%d", 1+s%5)
+					tup := relation.Tuple{fmt.Sprintf("g%d", s), "v"}
+					d.nodes["A"].UpdateLocal(func(p *core.Peer) {
+						if phase == 0 {
+							p.Inst.Insert(rel, tup)
+						} else {
+							p.Inst.Delete(rel, tup)
+						}
+					})
+					if _, e := d.root.AnswerQuery(q14, vars14, peernet.QueryOptions{}); e != nil {
+						return e
 					}
-				})
-				if _, e := d14.root.AnswerQuery(q14, vars14, peernet.QueryOptions{}); e != nil {
-					return e
 				}
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st := d14.root.Stats(); st.IncrPatched == 0 {
-		return nil, fmt.Errorf("B14 gate loop never patched (seeded=%d fallbacks=%d) — measuring the wrong path", st.IncrSeeded, st.IncrFallbacks)
-	}
-
-	return &gateResult{
-		Parallelism: par,
-		CalibNS:     calib.Nanoseconds(),
-		B5GroundNS:  b5.Nanoseconds(),
-		B1RepairNS:  b1.Nanoseconds(),
-		B9SlicedNS:  b9.Nanoseconds(),
-		B10LocalNS:  b10.Nanoseconds(),
-		B11DelegNS:  b11.Nanoseconds(),
-		B12LargeNS:  b12.Nanoseconds(),
-		B13ServeNS:  b13.Nanoseconds(),
-		B14ChurnNS:  b14.Nanoseconds(),
-		B5Norm:      float64(b5.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B1Norm:      float64(b1.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B9Norm:      float64(b9.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B10Norm:     float64(b10.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B11Norm:     float64(b11.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B12Norm:     float64(b12.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B13Norm:     float64(b13.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B14Norm:     float64(b14.Nanoseconds()) / float64(calib.Nanoseconds()),
-		B5AllocsOp:  b5Allocs,
-		B1AllocsOp:  b1Allocs,
-		B9AllocsOp:  b9Allocs,
-		B10AllocsOp: b10Allocs,
-		B11AllocsOp: b11Allocs,
-		B12AllocsOp: b12Allocs,
-		B13AllocsOp: b13Allocs,
-		B14AllocsOp: b14Allocs,
-		PeakRSSKB:   peakRSSKB(),
-	}, nil
+			return nil
+		}, func() error {
+			defer d.stop()
+			if st := d.root.Stats(); st.IncrPatched == 0 {
+				return fmt.Errorf("B14 gate loop never patched (seeded=%d fallbacks=%d) — measuring the wrong path", st.IncrSeeded, st.IncrFallbacks)
+			}
+			return nil
+		}, nil
 }
 
-// gateCompare fails (non-nil error) when a normalized metric regressed
-// by more than threshold (0.25 = 25%) against the baseline.
-func gateCompare(w io.Writer, cur, base *gateResult, threshold float64) error {
+// gateCompare fails (non-nil error) when a normalized time or an
+// allocation count regressed by more than threshold (0.25 = 25%)
+// against the baseline. Allocation counts need no calibration — the
+// ratio is machine-independent and tight by nature — so the same
+// threshold applies; a path that suddenly allocates 25% more per op has
+// lost a buffer reuse somewhere. A baseline written before a metric
+// existed carries no figure for it, and the metric is skipped.
+func gateCompare(w io.Writer, cur, base gateResult, threshold float64) error {
 	check := func(name string, curV, baseV float64) error {
+		if baseV <= 0 {
+			return nil
+		}
 		ratio := curV / baseV
-		fmt.Fprintf(w, "gate %-22s baseline=%.3f current=%.3f ratio=%.2f (limit %.2f)\n",
+		fmt.Fprintf(w, "gate %-30s baseline=%.3f current=%.3f ratio=%.2f (limit %.2f)\n",
 			name, baseV, curV, ratio, 1+threshold)
 		if ratio > 1+threshold {
 			return fmt.Errorf("p2pbench: %s regressed %.0f%% (normalized %.3f -> %.3f, limit %.0f%%)",
@@ -451,65 +440,13 @@ func gateCompare(w io.Writer, cur, base *gateResult, threshold float64) error {
 		}
 		return nil
 	}
-	if err := check("B5 grounding facts=100", cur.B5Norm, base.B5Norm); err != nil {
-		return err
-	}
-	if err := check("B1 repair n=40", cur.B1Norm, base.B1Norm); err != nil {
-		return err
-	}
-	// Baselines written before a metric existed carry no figure for it;
-	// skip rather than divide by zero.
-	if base.B9Norm > 0 {
-		if err := check("B9 sliced wide-universe", cur.B9Norm, base.B9Norm); err != nil {
+	for _, m := range gateMetrics {
+		if err := check(m.name, cur[m.normKey()], base[m.normKey()]); err != nil {
 			return err
 		}
 	}
-	if base.B10Norm > 0 {
-		if err := check("B10 localized scattered", cur.B10Norm, base.B10Norm); err != nil {
-			return err
-		}
-	}
-	if base.B11Norm > 0 {
-		if err := check("B11 delegated fanout", cur.B11Norm, base.B11Norm); err != nil {
-			return err
-		}
-	}
-	if base.B12Norm > 0 {
-		if err := check("B12 large universe", cur.B12Norm, base.B12Norm); err != nil {
-			return err
-		}
-	}
-	if base.B13Norm > 0 {
-		if err := check("B13 serving stream", cur.B13Norm, base.B13Norm); err != nil {
-			return err
-		}
-	}
-	if base.B14Norm > 0 {
-		if err := check("B14 churn incremental", cur.B14Norm, base.B14Norm); err != nil {
-			return err
-		}
-	}
-	// Allocation gates: counts, not times, so no calibration — the
-	// ratio is machine-independent and tight by nature. The same
-	// threshold applies; a path that suddenly allocates 25% more per
-	// op has lost a buffer reuse somewhere.
-	for _, m := range []struct {
-		name      string
-		cur, base int64
-	}{
-		{"B5 grounding allocs/op", cur.B5AllocsOp, base.B5AllocsOp},
-		{"B1 repair allocs/op", cur.B1AllocsOp, base.B1AllocsOp},
-		{"B9 sliced allocs/op", cur.B9AllocsOp, base.B9AllocsOp},
-		{"B10 localized allocs/op", cur.B10AllocsOp, base.B10AllocsOp},
-		{"B11 delegated allocs/op", cur.B11AllocsOp, base.B11AllocsOp},
-		{"B12 large-universe allocs/op", cur.B12AllocsOp, base.B12AllocsOp},
-		{"B13 serving allocs/op", cur.B13AllocsOp, base.B13AllocsOp},
-		{"B14 churn allocs/op", cur.B14AllocsOp, base.B14AllocsOp},
-	} {
-		if m.base <= 0 {
-			continue
-		}
-		if err := check(m.name, float64(m.cur), float64(m.base)); err != nil {
+	for _, m := range gateMetrics {
+		if err := check(m.name+" allocs/op", cur[m.allocsKey()], base[m.allocsKey()]); err != nil {
 			return err
 		}
 	}
@@ -523,13 +460,15 @@ func runGate(w io.Writer, outPath, baselinePath string, threshold float64, par i
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "gate measured: calib=%v b5-ground=%v b1-repair=%v b9-sliced=%v b10-localized=%v b11-delegated=%v b12-large=%v b13-serve=%v b14-churn=%v (parallelism=%d, min of %d)\n",
-		time.Duration(cur.CalibNS), time.Duration(cur.B5GroundNS), time.Duration(cur.B1RepairNS),
-		time.Duration(cur.B9SlicedNS), time.Duration(cur.B10LocalNS), time.Duration(cur.B11DelegNS),
-		time.Duration(cur.B12LargeNS), time.Duration(cur.B13ServeNS), time.Duration(cur.B14ChurnNS), par, gateRounds)
-	fmt.Fprintf(w, "gate allocs/op: b5=%d b1=%d b9=%d b10=%d b11=%d b12=%d b13=%d b14=%d peak-rss=%dKB\n",
-		cur.B5AllocsOp, cur.B1AllocsOp, cur.B9AllocsOp, cur.B10AllocsOp, cur.B11AllocsOp,
-		cur.B12AllocsOp, cur.B13AllocsOp, cur.B14AllocsOp, cur.PeakRSSKB)
+	fmt.Fprintf(w, "gate measured (parallelism=%d, min of %d): calib=%v", par, gateRounds, time.Duration(cur["calib_ns"]))
+	for _, m := range gateMetrics {
+		fmt.Fprintf(w, " %s=%v", m.key, time.Duration(cur[m.nsKey()]))
+	}
+	fmt.Fprintf(w, "\ngate allocs/op:")
+	for _, m := range gateMetrics {
+		fmt.Fprintf(w, " %s=%.0f", m.key, cur[m.allocsKey()])
+	}
+	fmt.Fprintf(w, " peak-rss=%.0fKB\n", cur["peak_rss_kb"])
 	if outPath != "" {
 		data, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
@@ -551,11 +490,11 @@ func runGate(w io.Writer, outPath, baselinePath string, threshold float64, par i
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("p2pbench: bad baseline %s: %v", baselinePath, err)
 	}
-	if base.Parallelism != cur.Parallelism {
-		return fmt.Errorf("p2pbench: baseline was measured at parallelism=%d, current at %d; incomparable",
-			base.Parallelism, cur.Parallelism)
+	if base["parallelism"] != cur["parallelism"] {
+		return fmt.Errorf("p2pbench: baseline was measured at parallelism=%.0f, current at %.0f; incomparable",
+			base["parallelism"], cur["parallelism"])
 	}
-	if err := gateCompare(w, cur, &base, threshold); err != nil {
+	if err := gateCompare(w, cur, base, threshold); err != nil {
 		// One retry: a co-tenant noise burst during the measurement
 		// window can push a normalized metric past the limit; a real
 		// regression fails the fresh measurement too.
@@ -564,7 +503,7 @@ func runGate(w io.Writer, outPath, baselinePath string, threshold float64, par i
 		if err != nil {
 			return err
 		}
-		return gateCompare(w, cur, &base, threshold)
+		return gateCompare(w, cur, base, threshold)
 	}
 	return nil
 }

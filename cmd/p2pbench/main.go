@@ -1,9 +1,11 @@
 // Command p2pbench regenerates every experiment of the reproduction:
 // the fidelity experiments E1-E7 (each concrete artifact in the paper —
 // worked examples, programs, stable models) and the scaling/ablation
-// benchmarks B1-B8 (the paper has no empirical tables, so these measure
-// the complexity behaviour its Section 3.2 claims imply). EXPERIMENTS.md
-// records the expected output.
+// benchmarks B1-B14 (the paper has no empirical tables, so these measure
+// the complexity behaviour its Section 3.2 claims imply, and the cost
+// of the serving paths). -list names every experiment; the expected
+// fidelity lines are the ones TestAllExperimentsRun checks. -gate runs
+// the benchmark regression gate (gate.go).
 //
 // Usage:
 //
@@ -66,7 +68,7 @@ func main() {
 	fs.IntVar(&benchParallelism, "parallelism", benchParallelism,
 		"worker-pool bound for the parallel benchmark variants; 0 = GOMAXPROCS")
 	stats := fs.Bool("stats", false, "print fixture system statistics (peers, tuples, per-system interned symbols) and exit")
-	gateOut := fs.String("gate-out", "", "measure the benchmark gate (B5 grounding, B1 repair) and write the result JSON to this path")
+	gateOut := fs.String("gate-out", "", "measure the benchmark gate (the eight paths of gate.go's gateMetrics) and write the result JSON to this path")
 	gateBase := fs.String("gate", "", "compare the gate measurement against this baseline JSON and exit non-zero on regression")
 	gateThreshold := fs.Float64("gate-threshold", 0.25, "allowed regression of the normalized gate metrics (0.25 = 25%)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run (experiments or gate) to this path")

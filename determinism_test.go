@@ -39,8 +39,9 @@ func TestDeterminismFixtures(t *testing.T) {
 // TestDeterminismSeededWorkloads sweeps generated systems over 20
 // seeds. The seed drives both the generator's value choices and the
 // system shape (clean facts, imports, conflicts, witnesses), so the
-// sweep covers import chains, independent binary conflicts and
-// referential witness choices at several sizes.
+// sweep covers import chains, independent binary conflicts, referential
+// witness choices and scattered conflicts that the conflict-localized
+// engine splits into several components, at several sizes.
 func TestDeterminismSeededWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
@@ -57,6 +58,13 @@ func TestDeterminismSeededWorkloads(t *testing.T) {
 				return workload.ReferentialShaped(1+int(seed%2), 1+int(seed%2), int(seed%3), seed)
 			}
 			testutil.RequireParallelismInvariant(t, t.Name(), build, "P", "r1(X,Y)", []string{"X", "Y"}, testutil.DefaultLevels)
+		})
+		t.Run(fmt.Sprintf("scattered/seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			build := func() *core.System {
+				return workload.ScatteredConflicts(2+int(seed%3), 1+int(seed%4), seed)
+			}
+			testutil.RequireParallelismInvariant(t, t.Name(), build, "A", "ra0(X,Y)", []string{"X", "Y"}, testutil.DefaultLevels)
 		})
 	}
 }

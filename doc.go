@@ -15,7 +15,9 @@
 //
 // Command-line tools: cmd/p2pqa (query answering over system
 // descriptions), cmd/asp (the stable-model solver), cmd/p2pbench
-// (regenerates every experiment in EXPERIMENTS.md). Runnable examples
+// (regenerates every experiment; p2pbench -list names them, and
+// TestAllExperimentsRun in cmd/p2pbench checks each fidelity
+// experiment's expected line). Runnable examples
 // are under examples/. The root package holds the benchmark suite
 // (bench_test.go), one benchmark per experiment row.
 //
@@ -110,6 +112,17 @@
 // materializes the cross-product: k scattered conflicts cost k
 // component searches instead of a 2^k enumeration (benchmark B10:
 // ~54x at k=8, ~350x at k=10 on this box).
+//
+// It is one engine (repair's conflicts type) with two drivers. The
+// one-shot driver behind repair.Repairs and repair.ConsistentAnswers
+// partitions constraint.AllViolations and solves every component; the
+// incremental driver (repair.IncrState, see "Incremental maintenance")
+// partitions the violation lists it maintains across writes and solves
+// only the components it has not cached. Both share the partition, the
+// per-component search with its bound proof, and the answer step: no
+// repairs in some component, the one component a query touches, the
+// refusal of a query that touches two, and a query no component
+// touches answered over the instance itself.
 //
 // Localization is applied only when provably exact, so it is
 // byte-identical to the global wave search (localized_equiv_test.go):
@@ -392,13 +405,17 @@
 //     and its undo cancel). Only the dependencies whose predicates the
 //     delta touches (constraint.DepIndex.Affected) are brought up to
 //     date, by the delta kernel (see "Answer-path costs"), so a patch's
-//     violation work is proportional to the delta. It then re-runs the
-//     wave search only for components whose read set the delta
-//     intersects, and re-answers from the patched component repairs.
-//     Exactness gates — bounded
-//     searches, deltas that could sum past MaxDelta, queries spanning
-//     two components, non-domain-free queries — report ok=false and the
-//     caller falls back to the byte-identical full recompute.
+//     violation work is proportional to the delta. IncrState is the
+//     incremental driver of the conflict-component engine (see
+//     "Conflict-localized repair"): it partitions the refreshed lists,
+//     fills in the cached components whose read set the delta misses,
+//     lets the engine search the rest, and answers through the
+//     engine's answer step. The exactness gates are the engine's —
+//     bounded searches, deltas that could sum past MaxDelta, queries
+//     spanning two components — plus non-domain-free queries; each
+//     reports ok=false and the caller falls back to the byte-identical
+//     full recompute. The partition itself is still rebuilt from every
+//     violation on each patch.
 //   - Series + cache patching. A peernet.Node keeps an incrSeries per
 //     repeated direct-semantics query: the retained sliced snapshot,
 //     the reduced single-stage repair problem (core.ReduceSingleStage)
@@ -476,4 +493,11 @@
 //     PossibleAnswers render each answer tuple's key once, to deduplicate
 //     or count, and sort on those keys (relation.SortKeyed) instead of
 //     rendering two keys per comparison.
+//   - One key render per solution. repair.Repairs returns its repairs
+//     distinct and in canonical key order, rendering each repair's
+//     Instance.Key once (repair.SortDistinct). core.SolutionsFor returns
+//     a single Repairs result as it is — a peer without same-trust DECs,
+//     or stage 2 over a single stage-1 repair — so each solution's key
+//     is rendered once. Only a merge of several stage-2 results renders
+//     them again, in the same SortDistinct.
 package repro

@@ -24,53 +24,15 @@ import "repro/internal/constraint"
 // SolutionsFor applies it, so the reduced problem matches what the
 // full path would solve under the same options.
 func ReduceSingleStage(s *System, id PeerID, opt SolveOptions) (deps []*constraint.Dependency, fixed map[string]bool, ok bool) {
-	p, found := s.peers[id]
-	if !found {
+	if _, found := s.peers[id]; !found {
 		return nil, nil, false
 	}
-	var lessDeps, sameDeps, ics []*constraint.Dependency
-	for _, q := range s.TrustedPeers(id, TrustLess) {
-		for _, d := range p.DECs[q] {
-			if opt.keeps(d) {
-				lessDeps = append(lessDeps, d)
-			}
-		}
-	}
-	for _, q := range s.TrustedPeers(id, TrustSame) {
-		for _, d := range p.DECs[q] {
-			if opt.keeps(d) {
-				sameDeps = append(sameDeps, d)
-			}
-		}
-	}
-	for _, ic := range p.ICs {
-		if opt.keeps(ic) {
-			ics = append(ics, ic)
-		}
-	}
-
+	st := s.splitStages(id, opt)
 	switch {
-	case len(sameDeps) == 0:
-		fixed = map[string]bool{}
-		for rel, owner := range s.owner {
-			if owner != id {
-				fixed[rel] = true
-			}
-		}
-		deps = append(append([]*constraint.Dependency{}, lessDeps...), ics...)
-		return deps, fixed, true
-	case len(lessDeps) == 0 && len(ics) == 0:
-		fixed = map[string]bool{}
-		mutableOwners := map[PeerID]bool{id: true}
-		for _, q := range s.TrustedPeers(id, TrustSame) {
-			mutableOwners[q] = true
-		}
-		for rel, owner := range s.owner {
-			if !mutableOwners[owner] {
-				fixed[rel] = true
-			}
-		}
-		return sameDeps, fixed, true
+	case len(st.same) == 0:
+		return st.stage1, st.fixed1, true
+	case len(st.stage1) == 0:
+		return st.stage2, st.fixed2, true
 	}
 	return nil, nil, false
 }

@@ -1,9 +1,16 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/constraint"
+	. "repro/internal/core"
+	"repro/internal/foquery"
+	"repro/internal/relation"
+	"repro/internal/repair"
+	"repro/internal/slice"
+	"repro/internal/workload"
 )
 
 // TestReduceSingleStage pins the two reducible trust shapes, the
@@ -83,4 +90,61 @@ func TestReduceSingleStage(t *testing.T) {
 			t.Fatal("unknown peer reduced")
 		}
 	})
+
+	// Every workload generator shape that reduces: repairing the reduced
+	// problem gives exactly SolutionsFor's solutions, key for key.
+	wide := workload.WideUniverse(3, 2, 4, 2, 1)
+	sl, err := slice.ForQuery(wide, "P0", foquery.MustParse("q0(X,Y)"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *System
+		peer PeerID
+		opt  SolveOptions
+	}{
+		{"Chain", workload.Chain(3, 4, 1), "P0", SolveOptions{}},
+		{"ReferentialShaped", workload.ReferentialShaped(2, 2, 1, 1), "P", SolveOptions{}},
+		{"IndependentConflicts", workload.IndependentConflicts(3), "A", SolveOptions{}},
+		{"ScatteredConflicts", workload.ScatteredConflicts(3, 2, 1), "A", SolveOptions{}},
+		{"ChurnUniverse", workload.ChurnUniverse(3, 2, 1), "A", SolveOptions{}},
+		{"WideUniverse sliced", wide, "P0", SolveOptions{KeepDep: sl.KeepDep, RelevantRels: sl.RelevantRels()}},
+		{"DelegationFanout root", workload.DelegationFanout(2, 3, 1, 2, 1), "P0", SolveOptions{}},
+		{"DelegationFanout hub", workload.DelegationFanout(2, 3, 1, 2, 1), "H0", SolveOptions{}},
+		{"LargeUniverse", workload.LargeUniverse(20, 2, 2, 4, 1), "P0", SolveOptions{}},
+	} {
+		t.Run("workload "+tc.name, func(t *testing.T) {
+			deps, fixed, ok := ReduceSingleStage(tc.s, tc.peer, tc.opt)
+			if !ok {
+				t.Fatal("did not reduce")
+			}
+			global := tc.s.Global()
+			if tc.opt.RelevantRels != nil {
+				global = global.RestrictRels(tc.opt.RelevantRels)
+			}
+			reps, err := repair.Repairs(global, deps, repair.Options{Fixed: fixed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sols, err := SolutionsFor(tc.s, tc.peer, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := instanceKeys(reps), instanceKeys(sols); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("reduced repairs diverge from the solutions:\nreduced   %q\nsolutions %q", got, want)
+			}
+		})
+	}
+	if _, _, ok := ReduceSingleStage(workload.Example1Shaped(3, 1, 1, 1), "P1", SolveOptions{}); ok {
+		t.Fatal("Example1Shaped reduced: it has less-trust and same-trust DECs")
+	}
+}
+
+func instanceKeys(insts []*relation.Instance) []string {
+	keys := make([]string, len(insts))
+	for i, in := range insts {
+		keys[i] = in.Key()
+	}
+	return keys
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/foquery"
 	"repro/internal/parallel"
 	"repro/internal/relation"
@@ -15,19 +13,9 @@ import (
 // and is exposed here as an extension (the same solutions are used,
 // answers are unioned instead of intersected).
 func PossibleAnswers(s *System, id PeerID, q foquery.Formula, vars []string, opt SolveOptions) ([]relation.Tuple, error) {
-	p, ok := s.peers[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown peer %s", id)
-	}
-	if err := checkQuerySchema(p, q); err != nil {
-		return nil, err
-	}
-	sols, err := SolutionsFor(s, id, opt)
+	p, sols, err := solutionsForQuery(s, id, q, opt)
 	if err != nil {
 		return nil, err
-	}
-	if len(sols) == 0 {
-		return nil, ErrNoSolutions
 	}
 	// Per-solution evaluation fans out like PeerConsistentAnswers; the
 	// union merge is order-independent and the output sorted, so the

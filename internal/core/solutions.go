@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/constraint"
 	"repro/internal/foquery"
@@ -70,6 +69,68 @@ func (o SolveOptions) repairOptions(fixed map[string]bool) repair.Options {
 // workers resolves Parallelism for a fan-out.
 func (o SolveOptions) workers() int { return parallel.Workers(o.Parallelism) }
 
+// stages is the dependency split of Definition 4 for one peer under
+// SolveOptions.KeepDep: the repair problems of its two stages.
+type stages struct {
+	// stage1 are the less-trust DECs followed by the local ICs; fixed1
+	// holds every relation not owned by the peer.
+	stage1 []*constraint.Dependency
+	fixed1 map[string]bool
+	// same are the same-trust DECs. When there are any, stage2 are the
+	// same-trust DECs followed by stage1, and fixed2 holds the relations
+	// of every peer other than the peer itself and those it trusts the
+	// same.
+	same   []*constraint.Dependency
+	stage2 []*constraint.Dependency
+	fixed2 map[string]bool
+}
+
+// splitStages computes the stage split of peer id (which must exist).
+func (s *System) splitStages(id PeerID, opt SolveOptions) stages {
+	p := s.peers[id]
+	var st stages
+	for _, q := range s.TrustedPeers(id, TrustLess) {
+		for _, d := range p.DECs[q] {
+			if opt.keeps(d) {
+				st.stage1 = append(st.stage1, d)
+			}
+		}
+	}
+	for _, q := range s.TrustedPeers(id, TrustSame) {
+		for _, d := range p.DECs[q] {
+			if opt.keeps(d) {
+				st.same = append(st.same, d)
+			}
+		}
+	}
+	for _, ic := range p.ICs {
+		if opt.keeps(ic) {
+			st.stage1 = append(st.stage1, ic)
+		}
+	}
+	st.fixed1 = map[string]bool{}
+	for rel, owner := range s.owner {
+		if owner != id {
+			st.fixed1[rel] = true
+		}
+	}
+	if len(st.same) == 0 {
+		return st
+	}
+	st.stage2 = append(append([]*constraint.Dependency{}, st.same...), st.stage1...)
+	st.fixed2 = map[string]bool{}
+	mutableOwners := map[PeerID]bool{id: true}
+	for _, q := range s.TrustedPeers(id, TrustSame) {
+		mutableOwners[q] = true
+	}
+	for rel, owner := range s.owner {
+		if !mutableOwners[owner] {
+			st.fixed2[rel] = true
+		}
+	}
+	return st
+}
+
 // SolutionsFor computes the solutions for peer P (Definition 4, direct
 // case) on the system's current global instance:
 //
@@ -82,81 +143,38 @@ func (o SolveOptions) workers() int { return parallel.Workers(o.Parallelism) }
 //
 // Relations of peers that appear in no DEC of P are untouched
 // (condition (b) of Definition 4). The result is deduplicated and
-// deterministic.
+// sorted by canonical instance key.
 func SolutionsFor(s *System, id PeerID, opt SolveOptions) ([]*relation.Instance, error) {
-	p, ok := s.peers[id]
-	if !ok {
+	if _, ok := s.peers[id]; !ok {
 		return nil, fmt.Errorf("core: unknown peer %s", id)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-
-	var lessDeps, sameDeps, ics []*constraint.Dependency
-	for _, q := range s.TrustedPeers(id, TrustLess) {
-		for _, d := range p.DECs[q] {
-			if opt.keeps(d) {
-				lessDeps = append(lessDeps, d)
-			}
-		}
-	}
-	for _, q := range s.TrustedPeers(id, TrustSame) {
-		for _, d := range p.DECs[q] {
-			if opt.keeps(d) {
-				sameDeps = append(sameDeps, d)
-			}
-		}
-	}
-	for _, ic := range p.ICs {
-		if opt.keeps(ic) {
-			ics = append(ics, ic)
-		}
-	}
+	st := s.splitStages(id, opt)
 
 	global := s.Global()
 	if opt.RelevantRels != nil {
 		global = global.RestrictRels(opt.RelevantRels)
 	}
 
-	// Stage 1: only P's own relations are mutable.
-	fixed1 := map[string]bool{}
-	for rel, owner := range s.owner {
-		if owner != id {
-			fixed1[rel] = true
-		}
-	}
-	stage1Deps := append(append([]*constraint.Dependency{}, lessDeps...), ics...)
-	stage1, err := repair.Repairs(global, stage1Deps, opt.repairOptions(fixed1))
+	// Stage 1: only P's own relations are mutable. Repairs returns its
+	// repairs distinct and sorted, so one repair set is returned as is.
+	stage1, err := repair.Repairs(global, st.stage1, opt.repairOptions(st.fixed1))
 	if err != nil && err != repair.ErrBound {
 		return nil, fmt.Errorf("core: stage-1 repairs for %s: %w", id, err)
 	}
-
-	if len(sameDeps) == 0 {
-		return dedupSorted(stage1), nil
+	if len(st.same) == 0 {
+		return stage1, nil
 	}
-
-	// Stage 2: P's and the same-trusted peers' relations are mutable;
-	// less-trust DECs and local ICs must be preserved.
-	fixed2 := map[string]bool{}
-	mutableOwners := map[PeerID]bool{id: true}
-	for _, q := range s.TrustedPeers(id, TrustSame) {
-		mutableOwners[q] = true
-	}
-	for rel, owner := range s.owner {
-		if !mutableOwners[owner] {
-			fixed2[rel] = true
-		}
-	}
-	stage2Deps := append(append([]*constraint.Dependency{}, sameDeps...), lessDeps...)
-	stage2Deps = append(stage2Deps, ics...)
 
 	// Stage 2 is embarrassingly parallel: each stage-1 repair is an
 	// independent repair problem. Fan out across a bounded worker pool
-	// and flatten in stage-1 order before the deterministic
-	// dedupSorted merge, so the result is byte-identical to the
-	// sequential loop at every parallelism level.
+	// and flatten in stage-1 order before the deterministic merge, so
+	// the result is byte-identical to the sequential loop at every
+	// parallelism level.
 	perRepair, err := parallel.MapErr(len(stage1), opt.workers(), func(i int) ([]*relation.Instance, error) {
-		reps, err := repair.Repairs(stage1[i], stage2Deps, opt.repairOptions(fixed2))
+		reps, err := repair.Repairs(stage1[i], st.stage2, opt.repairOptions(st.fixed2))
 		if err != nil && err != repair.ErrBound {
 			return nil, err
 		}
@@ -165,39 +183,14 @@ func SolutionsFor(s *System, id PeerID, opt SolveOptions) ([]*relation.Instance,
 	if err != nil {
 		return nil, fmt.Errorf("core: stage-2 repairs for %s: %w", id, err)
 	}
+	if len(perRepair) == 1 {
+		return perRepair[0], nil
+	}
 	var out []*relation.Instance
 	for _, reps := range perRepair {
 		out = append(out, reps...)
 	}
-	return dedupSorted(out), nil
-}
-
-// dedupSorted de-duplicates instances by canonical key and sorts them,
-// rendering each key exactly once (the comparator reuses the rendered
-// keys — Instance.Key walks the whole instance, so recomputing it per
-// comparison would dominate large solution sets).
-func dedupSorted(insts []*relation.Instance) []*relation.Instance {
-	seen := map[string]bool{}
-	var out []*relation.Instance
-	var keys []string
-	for _, in := range insts {
-		k := in.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, in)
-			keys = append(keys, k)
-		}
-	}
-	order := make([]int, len(out))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sorted := make([]*relation.Instance, len(out))
-	for i, j := range order {
-		sorted[i] = out[j]
-	}
-	return sorted
+	return repair.SortDistinct(out, opt.Parallelism), nil
 }
 
 // ErrNoSolutions is returned when a peer admits no solution (e.g. a
@@ -210,26 +203,36 @@ var ErrNoSolutions = fmt.Errorf("core: peer has no solutions")
 // evaluated on the restriction of each solution to the peer's own
 // schema R(P).
 func PeerConsistentAnswers(s *System, id PeerID, q foquery.Formula, vars []string, opt SolveOptions) ([]relation.Tuple, error) {
-	p, ok := s.peers[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown peer %s", id)
-	}
-	// The query must be in L(P).
-	if err := checkQuerySchema(p, q); err != nil {
-		return nil, err
-	}
-	sols, err := SolutionsFor(s, id, opt)
+	p, sols, err := solutionsForQuery(s, id, q, opt)
 	if err != nil {
 		return nil, err
-	}
-	if len(sols) == 0 {
-		return nil, ErrNoSolutions
 	}
 	restricted := make([]*relation.Instance, len(sols))
 	parallel.Run(len(sols), opt.workers(), func(i int) {
 		restricted[i] = sols[i].Restrict(p.Schema)
 	})
 	return repair.IntersectAnswersOpt(restricted, q, vars, repair.Options{Parallelism: opt.Parallelism})
+}
+
+// solutionsForQuery is the common prologue of the answer semantics: the
+// peer, after checking that the query is in L(P), and its solutions,
+// of which there must be at least one.
+func solutionsForQuery(s *System, id PeerID, q foquery.Formula, opt SolveOptions) (*Peer, []*relation.Instance, error) {
+	p, ok := s.peers[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("core: unknown peer %s", id)
+	}
+	if err := checkQuerySchema(p, q); err != nil {
+		return nil, nil, err
+	}
+	sols, err := SolutionsFor(s, id, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(sols) == 0 {
+		return nil, nil, ErrNoSolutions
+	}
+	return p, sols, nil
 }
 
 func checkQuerySchema(p *Peer, q foquery.Formula) error {

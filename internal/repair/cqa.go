@@ -17,28 +17,28 @@ import (
 // parallelism.
 //
 // When the conflict-localized engine applies (localize.go) and the
-// query's relations intersect the deltas of at most one conflict
-// component, the intersection is evaluated over that component's
-// repairs alone: repairs of the other components agree with it on every
-// relation the (domain-independent) query can observe, so the 2^k
-// cross-product of scattered conflicts is never materialized.
+// query is domain-free with relations that intersect the deltas of at
+// most one conflict component, the intersection is evaluated over that
+// component's repairs alone (conflicts.answer): repairs of the other
+// components agree with it on every relation the query can observe, so
+// the 2^k cross-product of scattered conflicts is never materialized.
 func ConsistentAnswers(inst *relation.Instance, deps []*constraint.Dependency, q foquery.Formula, vars []string, opt Options) ([]relation.Tuple, error) {
-	for _, d := range deps {
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(deps); err != nil {
+		return nil, err
 	}
 	if opt.MaxDelta == 0 {
 		opt.MaxDelta = inst.Size() + 64
 	}
-	if pl, ok := tryLocalize(inst, deps, opt); ok {
-		opt.Stats.record(len(pl.comps))
-		if ans, done, err := pl.localizedAnswers(q, vars, opt); done {
-			return ans, err
+	if cf, ok := tryLocalize(inst, deps, opt); ok {
+		opt.Stats.record(len(cf.comps))
+		if DomainFreeQuery(q) {
+			if ans, _, ok, err := cf.answer(q, vars); ok {
+				return ans, err
+			}
 		}
 		// The intersection below is order-independent, so the composed
 		// repairs skip the canonical sort (and its per-repair key renders).
-		return IntersectAnswersOpt(pl.materialize(opt, false), q, vars, opt)
+		return IntersectAnswersOpt(cf.materialize(false), q, vars, opt)
 	}
 	opt.Stats.record(-1)
 	reps, err := searchRepairs(inst, deps, opt)
@@ -53,65 +53,28 @@ func ConsistentAnswers(inst *relation.Instance, deps []*constraint.Dependency, q
 	return ans, boundErr
 }
 
-// localizedAnswers evaluates the consistent answers per component when
-// that is exact: the query must be domain-independent by construction
-// (only atoms and positive boolean structure, so evaluation never
-// consults the active domain) and its predicates must intersect the
-// repair deltas of at most one component. done reports whether the
-// answers were produced this way; on false the caller materializes the
-// composed repair set.
-func (pl *localPlan) localizedAnswers(q foquery.Formula, vars []string, opt Options) ([]relation.Tuple, bool, error) {
-	if !domainFreeQuery(q) {
-		return nil, false, nil
-	}
-	for _, c := range pl.comps {
-		if len(c.deltas) == 0 {
-			// No repairs at all: the intersection over an empty repair
-			// set is empty, exactly as IntersectAnswers reports it.
-			return nil, true, nil
-		}
-	}
-	var touched *component
-	for _, c := range pl.comps {
-		for _, p := range foquery.Preds(q) {
-			if c.deltaPreds[p] {
-				if touched != nil && touched != c {
-					return nil, false, nil // query spans two components
-				}
-				touched = c
-			}
-		}
-	}
-	if touched == nil {
-		// Every repair agrees with the original instance on the query's
-		// relations.
-		ans, err := IntersectAnswersOpt([]*relation.Instance{pl.orig}, q, vars, opt)
-		return ans, true, err
-	}
-	ans, err := IntersectAnswersOpt(touched.insts, q, vars, opt)
-	return ans, true, err
-}
-
-// domainFreeQuery reports whether evaluating the formula can never
+// DomainFreeQuery reports whether evaluating the formula can never
 // consult the active domain: only positive atoms under conjunction and
 // disjunction qualify (every such subformula is a generator, so the
 // evaluator's domain-enumeration fallback is unreachable). Negation,
 // quantifiers, implications and comparisons all may observe constants
-// of relations outside the query's predicates.
-func domainFreeQuery(f foquery.Formula) bool {
+// of relations outside the query's predicates. Only such queries are
+// answered per conflict component; callers can test it before building
+// an IncrState, whose Answers refuses every other shape.
+func DomainFreeQuery(f foquery.Formula) bool {
 	switch g := f.(type) {
 	case foquery.Atom:
 		return true
 	case foquery.And:
 		for _, h := range g.Fs {
-			if !domainFreeQuery(h) {
+			if !DomainFreeQuery(h) {
 				return false
 			}
 		}
 		return true
 	case foquery.Or:
 		for _, h := range g.Fs {
-			if !domainFreeQuery(h) {
+			if !DomainFreeQuery(h) {
 				return false
 			}
 		}

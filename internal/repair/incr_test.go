@@ -301,6 +301,31 @@ func TestIncrFallbackGates(t *testing.T) {
 	}
 }
 
+// TestIncrRefusedCallTakesItsChanges: a call an option or query gate
+// refuses still consumes the changes handed to it, so the next call
+// answers exactly.
+func TestIncrRefusedCallTakesItsChanges(t *testing.T) {
+	vars := []string{"X", "Y"}
+	single := mustParse(t, "r0(X,Y)")
+	for _, g := range []struct {
+		q   foquery.Formula
+		opt Options
+	}{
+		{mustParse(t, "!r1(X,Y) & r0(X,Y)"), Options{}},
+		{single, Options{NoLocalize: true}},
+	} {
+		inst, deps := scatteredMultiRelInstance(2, 1)
+		st, _ := NewIncrState(deps, map[string]bool{})
+		w := journal(inst)
+		requireIncrMatchesFull(t, st, inst, w.since(t), deps, single, vars, Options{})
+		inst.Insert("r0", relation.Tuple{"c0", "x"})
+		if _, _, ok, _ := st.Answers(inst, w.since(t), g.q, vars, g.opt); ok {
+			t.Fatalf("%v %+v: gate did not refuse", g.q, g.opt)
+		}
+		requireIncrMatchesFull(t, st, inst, w.since(t), deps, single, vars, Options{})
+	}
+}
+
 func TestIncrStateRejectsBadShapes(t *testing.T) {
 	d := constraint.FD("fd", "r0")
 	if _, ok := NewIncrState([]*constraint.Dependency{d, d}, nil); ok {
@@ -377,5 +402,58 @@ func TestIncrStateResetRecovers(t *testing.T) {
 	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, Options{})
 	if st.CachedComponents() == 0 {
 		t.Fatal("no components re-cached after reset")
+	}
+}
+
+// TestDeterminismIncrState: the incremental driver's answers, outcomes
+// and component cache are identical at every parallelism level, over
+// random write sequences on the scattered multi-relation instance
+// (writes add clean facts, add or resolve conflicts, and delete).
+func TestDeterminismIncrState(t *testing.T) {
+	levels := []int{1, 2, 8}
+	vars := []string{"X", "Y"}
+	vals := []string{"u", "v", "w", "x"}
+	patched := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const k = 4
+		inst, deps := scatteredMultiRelInstance(k, 3)
+		w := journal(inst)
+		states := make([]*IncrState, len(levels))
+		for i := range states {
+			var ok bool
+			if states[i], ok = NewIncrState(deps, map[string]bool{}); !ok {
+				t.Fatal("NewIncrState refused an FD problem")
+			}
+		}
+		q := mustParse(t, fmt.Sprintf("r%d(X,Y)", rng.Intn(k)))
+		for step := 0; step < 8; step++ {
+			for i := rng.Intn(4); step > 0 && i >= 0; i-- {
+				rel := fmt.Sprintf("r%d", rng.Intn(k))
+				if ts := inst.Tuples(rel); rng.Intn(3) == 0 && len(ts) > 0 {
+					inst.Delete(rel, ts[rng.Intn(len(ts))])
+					continue
+				}
+				keys := []string{fmt.Sprintf("c%s", rel[1:]), fmt.Sprintf("k%s_0", rel[1:]), fmt.Sprintf("n%d", rng.Intn(3))}
+				inst.Insert(rel, relation.Tuple{keys[rng.Intn(len(keys))], vals[rng.Intn(len(vals))]})
+			}
+			changes := w.since(t)
+			var want string
+			for i, st := range states {
+				ans, noRepairs, ok, err := st.Answers(inst, changes, q, vars, Options{Parallelism: levels[i]})
+				got := fmt.Sprintf("answers=%v noRepairs=%v ok=%v err=%v cached=%d", ans, noRepairs, ok, err, st.CachedComponents())
+				if i == 0 {
+					want = got
+					if ok && step > 0 {
+						patched++
+					}
+				} else if got != want {
+					t.Fatalf("seed %d step %d: parallelism %d gives %s, parallelism %d gives %s", seed, step, levels[0], want, levels[i], got)
+				}
+			}
+		}
+	}
+	if patched == 0 {
+		t.Fatal("generator too weak: no write was answered incrementally")
 	}
 }

@@ -12,6 +12,14 @@
 // predicates intersect the touched facts are re-checked — and composes
 // the global minimal repairs as the cross-product of the component
 // repairs: component deltas are disjoint, so ⊆-minimality factorizes.
+// A domain-free query whose relations meet one component's deltas is
+// answered over that component's repairs alone (conflicts.answer).
+//
+// The engine (conflicts) has two drivers. The one-shot driver
+// (tryLocalize), behind Repairs and ConsistentAnswers, partitions
+// constraint.AllViolations and solves every component. The incremental
+// driver (IncrState, incr.go) partitions violation lists it maintains
+// from write deltas and searches only the components it has not cached.
 //
 // Localization is applied only when it is provably exact, so the
 // composed output is byte-identical to the global wave search:
@@ -36,6 +44,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/constraint"
+	"repro/internal/foquery"
 	"repro/internal/parallel"
 	"repro/internal/relation"
 	"repro/internal/symtab"
@@ -48,29 +57,52 @@ import (
 // same repairs, so neither path is fast there).
 const maxComposedRepairs = 1 << 24
 
-// component is one connected component of the conflict graph after its
-// search ran: the ⊆-minimal repairs of the component's conflicts with
-// every fact outside the component frozen.
+// component is one solved conflict component: the ⊆-minimal repairs of
+// its root violations with every fact outside the component frozen.
+// It holds no instance, so the incremental driver can cache it across
+// writes that miss its read set (incr.go).
 type component struct {
-	// vios are the indices of the component's root violations.
-	vios []int
 	// deltas are the minimal repair deltas (fact-id bitsets over the
-	// plan's shared table); disjoint across components.
+	// engine's fact table); disjoint across components.
 	deltas []bitset.Set
-	// insts are the matching repaired instances (orig Δ delta).
-	insts []*relation.Instance
 	// deltaPreds are the predicates occurring in any delta — the
 	// relations on which this component's repairs can disagree.
 	deltaPreds map[string]bool
+	// maxDelta is the largest delta any state of the component's search
+	// generated: the summand of solve's bound proof.
+	maxDelta int
 }
 
-// localPlan is the result of a successful conflict-localized search:
-// everything needed to materialize the global repair set, or to answer
-// queries per component without materializing it.
-type localPlan struct {
-	orig  *relation.Instance
+// conflicts is one run of the conflict-component engine over an
+// instance: its root violations, their partition into the components
+// of the conflict graph and, once solved, each component's repairs.
+// Two drivers build it. The one-shot driver (tryLocalize) starts from
+// constraint.AllViolations and solves every component; the incremental
+// driver (IncrState.Answers) starts from its delta-maintained violation
+// lists and fills in the components it has cached before solving.
+type conflicts struct {
+	inst   *relation.Instance
+	deps   []*constraint.Dependency
+	depIdx *constraint.DepIndex
+	// facts interns the fact keys of every repair delta.
 	facts *symtab.Table
-	comps []*component
+	// opt carries the fixed predicates and a resolved MaxDelta.
+	opt   Options
+	vios  []constraint.Violation
+	infos []vioInfo
+	// groups are the components' root violations: ascending index lists
+	// ordered by first violation.
+	groups [][]int
+	// keys are the root violations' rendered keys, skip indexes them per
+	// dependency (rootKeys) and depOf maps a dependency to its index;
+	// index fills them for solve.
+	keys  []string
+	skip  []map[string]bool
+	depOf map[*constraint.Dependency]int
+	// comps[ci] is group ci's solved component (nil until solved), and
+	// repaired[ci] its repaired instances if its search ran in this run.
+	comps    []*component
+	repaired [][]*relation.Instance
 }
 
 // vioInfo is the interaction signature of one root violation.
@@ -86,87 +118,187 @@ type vioInfo struct {
 	predSet map[string]bool
 }
 
-// tryLocalize runs the conflict-localized engine. ok reports whether it
+// validate checks every dependency (Dependency.Validate).
+func validate(deps []*constraint.Dependency) error {
+	for _, d := range deps {
+		if err := d.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// localizable reports whether the engine can split a repair problem
+// over deps: no dependency is listed twice (component searches index
+// their state per dependency) and none is domain-dependent.
+func localizable(deps []*constraint.Dependency, fixed map[string]bool) bool {
+	seen := map[*constraint.Dependency]bool{}
+	for _, d := range deps {
+		if seen[d] || domainDependentDep(d, fixed) {
+			return false
+		}
+		seen[d] = true
+	}
+	return true
+}
+
+// newConflicts partitions the root violations vios of inst into the
+// components of the conflict graph. support holds every full TGD's
+// head-fact support over inst (headSupports).
+func newConflicts(inst *relation.Instance, deps []*constraint.Dependency, depIdx *constraint.DepIndex, facts *symtab.Table, opt Options, vios []constraint.Violation, support []map[string]int) *conflicts {
+	infos := violationInfos(inst, deps, vios, opt.Fixed, newDepInteraction(deps, support))
+	groups := buildComponents(vios, infos)
+	return &conflicts{
+		inst: inst, deps: deps, depIdx: depIdx, facts: facts, opt: opt,
+		vios: vios, infos: infos, groups: groups,
+		comps:    make([]*component, len(groups)),
+		repaired: make([][]*relation.Instance, len(groups)),
+	}
+}
+
+// index renders every root violation's key once and builds the skip
+// table all component searches share.
+func (cf *conflicts) index() {
+	cf.depOf = make(map[*constraint.Dependency]int, len(cf.deps))
+	for i, d := range cf.deps {
+		cf.depOf[d] = i
+	}
+	cf.keys, cf.skip = rootKeys(cf.vios, cf.depOf, len(cf.deps))
+}
+
+// solve searches every component not solved yet — one sequential wave
+// search per component with the other components' root violations
+// frozen, fanned out across the worker pool — and keeps each search's
+// ⊆-minimal repairs. ok reports the bound proof over all components:
+// it fails when a search hit Options.MaxDelta, or when the largest
+// deltas the searches generated sum to it, since an interleaved global
+// branch could then have hit the bound. Components whose search
+// completed are kept either way. index must have run.
+func (cf *conflicts) solve() (ok bool, err error) {
+	var todo []int
+	for ci, c := range cf.comps {
+		if c == nil {
+			todo = append(todo, ci)
+		}
+	}
+	searchers, err := parallel.MapErr(len(todo), parallel.Workers(cf.opt.Parallelism), func(k int) (*searcher, error) {
+		opt := cf.opt
+		opt.Parallelism = 1 // components are the unit of fan-out
+		s := &searcher{orig: cf.inst, deps: cf.deps, opt: opt, facts: cf.facts, front: newFrontier(), depIdx: cf.depIdx}
+		s.front.noSubsume = true
+		s.own(cf.groups[todo[k]], cf.vios, cf.keys, cf.depOf, cf.skip)
+		return s, s.run()
+	})
+	if err != nil {
+		return false, err
+	}
+	ok = true
+	for k, s := range searchers {
+		if s.hitBound {
+			ok = false
+			continue
+		}
+		insts, kept := minimalByDelta(s.found, s.foundDelta)
+		c := &component{deltas: make([]bitset.Set, len(kept)), deltaPreds: map[string]bool{}, maxDelta: s.maxDeltaSeen}
+		for i, ki := range kept {
+			c.deltas[i] = s.foundDelta[ki]
+			s.foundDelta[ki].ForEach(func(id uint32) {
+				c.deltaPreds[relation.ParseFactIDKey(cf.facts.Name(symtab.Sym(id))).Rel] = true
+			})
+		}
+		cf.comps[todo[k]], cf.repaired[todo[k]] = c, insts
+	}
+	if !ok {
+		return false, nil
+	}
+	sum := 0
+	for _, c := range cf.comps {
+		sum += c.maxDelta
+	}
+	return sum < cf.opt.MaxDelta, nil
+}
+
+// answer reads the consistent answers of q from the solved components
+// without composing them. q must be domain-free (DomainFreeQuery), so
+// its evaluation observes only its own relations: every repair agrees
+// with the instance on them, except where one component's deltas touch
+// them, and then the answers are those over that component's repairs.
+// noRepairs reports that a component has no repair, so neither has the
+// instance. ok is false when q's relations meet the deltas of two
+// components, whose combinations the caller must then materialize.
+func (cf *conflicts) answer(q foquery.Formula, vars []string) (ans []relation.Tuple, noRepairs, ok bool, err error) {
+	for _, c := range cf.comps {
+		if len(c.deltas) == 0 {
+			return nil, true, true, nil
+		}
+	}
+	preds := foquery.Preds(q)
+	touched := -1
+	for ci, c := range cf.comps {
+		for _, p := range preds {
+			if c.deltaPreds[p] {
+				if touched >= 0 && touched != ci {
+					return nil, false, false, nil // query spans two components
+				}
+				touched = ci
+			}
+		}
+	}
+	insts := []*relation.Instance{cf.inst}
+	if touched >= 0 {
+		insts = cf.repairs(touched)
+	}
+	ans, err = IntersectAnswersOpt(insts, q, vars, cf.opt)
+	return ans, false, true, err
+}
+
+// repairs returns component ci's repaired instances: those its search
+// built in this run, or else its deltas applied to the instance.
+func (cf *conflicts) repairs(ci int) []*relation.Instance {
+	if insts := cf.repaired[ci]; insts != nil {
+		return insts
+	}
+	deltas := cf.comps[ci].deltas
+	insts := make([]*relation.Instance, len(deltas))
+	for i, d := range deltas {
+		insts[i] = cf.inst.Clone()
+		cf.applyDelta(insts[i], d)
+	}
+	return insts
+}
+
+// tryLocalize is the engine's one-shot driver: it partitions the root
+// violations of inst and solves every component. ok reports whether it
 // applied and completed exactly; on false the caller must run the
 // global wave search (any internal error also reports false, so the
 // global engine reproduces the canonical error behaviour).
-func tryLocalize(inst *relation.Instance, deps []*constraint.Dependency, opt Options) (*localPlan, bool) {
-	if opt.NoLocalize || opt.MaxRepairs > 0 || len(deps) == 0 {
+func tryLocalize(inst *relation.Instance, deps []*constraint.Dependency, opt Options) (*conflicts, bool) {
+	if opt.NoLocalize || opt.MaxRepairs > 0 || len(deps) == 0 || !localizable(deps, opt.Fixed) {
 		return nil, false
-	}
-	seen := map[*constraint.Dependency]bool{}
-	for _, d := range deps {
-		if seen[d] {
-			return nil, false // duplicate entries break per-dep indexing
-		}
-		seen[d] = true
-		if domainDependentDep(d, opt.Fixed) {
-			return nil, false
-		}
 	}
 	vios, err := constraint.AllViolations(inst, deps)
 	if err != nil || len(vios) < 2 {
 		return nil, false
 	}
-	comps := buildComponents(inst, deps, vios, opt.Fixed)
-	if len(comps) < 2 {
-		return nil, false
-	}
-
-	depOf := map[*constraint.Dependency]int{}
-	for i, d := range deps {
-		depOf[d] = i
-	}
-	depIdx := constraint.NewDepIndex(deps)
-	facts := symtab.New()
-	keys, skip := rootKeys(vios, depOf, len(deps))
-	searchers, err := parallel.MapErr(len(comps), parallel.Workers(opt.Parallelism), func(ci int) (*searcher, error) {
-		innerOpt := opt
-		innerOpt.Parallelism = 1 // components are the unit of fan-out
-		s := &searcher{orig: inst, deps: deps, opt: innerOpt, facts: facts, front: newFrontier(), depIdx: depIdx}
-		s.front.noSubsume = true
-		s.own(comps[ci], vios, keys, depOf, skip)
-		return s, s.run()
-	})
+	support, err := headSupports(inst, deps)
 	if err != nil {
 		return nil, false
 	}
-
-	// Bound exactness: if any component hit the bound, or the generated
-	// deltas could sum past it along an interleaved global branch, let
-	// the global engine decide ErrBound canonically.
-	sumMax := 0
-	for _, s := range searchers {
-		if s.hitBound {
-			return nil, false
-		}
-		sumMax += s.maxDeltaSeen
-	}
-	if sumMax >= opt.MaxDelta {
+	cf := newConflicts(inst, deps, constraint.NewDepIndex(deps), symtab.New(), opt, vios, support)
+	if len(cf.groups) < 2 {
 		return nil, false
 	}
-
-	pl := &localPlan{orig: inst, facts: facts, comps: make([]*component, len(comps))}
+	cf.index()
+	if ok, err := cf.solve(); !ok || err != nil {
+		return nil, false
+	}
 	total := 1
-	for ci, s := range searchers {
-		insts, kept := minimalByDelta(s.found, s.foundDelta)
-		c := &component{vios: comps[ci], insts: insts, deltaPreds: map[string]bool{}}
-		c.deltas = make([]bitset.Set, len(kept))
-		for i, k := range kept {
-			c.deltas[i] = s.foundDelta[k]
-			s.foundDelta[k].ForEach(func(id uint32) {
-				c.deltaPreds[relation.ParseFactIDKey(facts.Name(symtab.Sym(id))).Rel] = true
-			})
-		}
-		pl.comps[ci] = c
-		if total > 0 {
-			total *= len(c.deltas)
-		}
-		if total > maxComposedRepairs {
+	for _, c := range cf.comps {
+		if total *= len(c.deltas); total > maxComposedRepairs {
 			return nil, false
 		}
 	}
-	return pl, true
+	return cf, true
 }
 
 // materialize composes the global minimal repair set: the cross-product
@@ -177,25 +309,25 @@ func tryLocalize(inst *relation.Instance, deps []*constraint.Dependency, opt Opt
 // repair set is order-independent, and rendering every composed repair
 // is the dominant cost at large-universe scale). A component with no
 // repairs makes the product empty.
-func (pl *localPlan) materialize(opt Options, ordered bool) []*relation.Instance {
+func (cf *conflicts) materialize(ordered bool) []*relation.Instance {
 	total := 1
-	for _, c := range pl.comps {
+	for _, c := range cf.comps {
 		total *= len(c.deltas)
 	}
 	if total == 0 {
 		return nil
 	}
-	insts, _ := parallel.MapErr(total, parallel.Workers(opt.Parallelism), func(idx int) (*relation.Instance, error) {
-		out := pl.orig.Clone()
+	insts, _ := parallel.MapErr(total, parallel.Workers(cf.opt.Parallelism), func(idx int) (*relation.Instance, error) {
+		out := cf.inst.Clone()
 		rem := idx
-		for _, c := range pl.comps {
-			pl.applyDelta(out, c.deltas[rem%len(c.deltas)])
+		for _, c := range cf.comps {
+			cf.applyDelta(out, c.deltas[rem%len(c.deltas)])
 			rem /= len(c.deltas)
 		}
 		return out, nil
 	})
 	if ordered {
-		sortByKey(insts, opt.Parallelism)
+		insts = SortDistinct(insts, cf.opt.Parallelism)
 	}
 	return insts
 }
@@ -203,9 +335,9 @@ func (pl *localPlan) materialize(opt Options, ordered bool) []*relation.Instance
 // applyDelta toggles every fact of a delta: a delta is a symmetric
 // difference against the original instance, and component deltas are
 // disjoint, so each fact flips exactly once across the composition.
-func (pl *localPlan) applyDelta(in *relation.Instance, delta bitset.Set) {
+func (cf *conflicts) applyDelta(in *relation.Instance, delta bitset.Set) {
 	delta.ForEach(func(id uint32) {
-		f := relation.ParseFactIDKey(pl.facts.Name(symtab.Sym(id)))
+		f := relation.ParseFactIDKey(cf.facts.Name(symtab.Sym(id)))
 		if in.Has(f.Rel, f.Tuple) {
 			in.Delete(f.Rel, f.Tuple)
 		} else {
@@ -215,15 +347,10 @@ func (pl *localPlan) applyDelta(in *relation.Instance, delta bitset.Set) {
 }
 
 // buildComponents partitions the root violations into the connected
-// components of the conflict graph, returned as ascending violation
-// index lists ordered by first violation.
-func buildComponents(inst *relation.Instance, deps []*constraint.Dependency, vios []constraint.Violation, fixed map[string]bool) [][]int {
-	return buildComponentsFrom(vios, violationInfos(inst, deps, vios, fixed))
-}
-
-// buildComponentsFrom is the union-find core of buildComponents over
-// precomputed interaction signatures.
-func buildComponentsFrom(vios []constraint.Violation, infos []vioInfo) [][]int {
+// components of the conflict graph, given their interaction
+// signatures, returned as ascending violation index lists ordered by
+// first violation.
+func buildComponents(vios []constraint.Violation, infos []vioInfo) [][]int {
 	uf := newUnionFind(len(vios))
 	// Fact-level edges: violations whose touchable facts overlap.
 	owner := map[string]int{}
@@ -270,10 +397,7 @@ func buildComponentsFrom(vios []constraint.Violation, infos []vioInfo) [][]int {
 }
 
 // depInteraction is the dependency-interaction context of
-// violationInfos, split out so the incremental layer (incr.go) can
-// maintain its instance-dependent part (the full TGDs' head-fact
-// support) across deltas instead of re-enumerating every full TGD's
-// body matches per call.
+// violationInfos.
 type depInteraction struct {
 	// witnessDeps[key] lists the full TGDs some body match of which
 	// grounds a head atom to the fact: deleting that fact can un-witness
@@ -288,9 +412,10 @@ type depInteraction struct {
 	bodyPreds map[string]bool
 }
 
-// newDepInteraction computes the interaction context from scratch:
-// the structural maps plus the per-instance full-TGD witness facts.
-func newDepInteraction(inst *relation.Instance, deps []*constraint.Dependency) *depInteraction {
+// newDepInteraction computes the interaction context of deps, given
+// every full TGD's head-fact support over the instance (headSupports;
+// the incremental driver keeps these counts current from deltas).
+func newDepInteraction(deps []*constraint.Dependency, support []map[string]int) *depInteraction {
 	di := &depInteraction{
 		witnessDeps: map[string][]int{},
 		exHeadDeps:  map[string][]int{},
@@ -309,24 +434,16 @@ func newDepInteraction(inst *relation.Instance, deps []*constraint.Dependency) *
 			}
 			continue
 		}
-		// A match error leaves the support empty: the global engine
-		// reproduces the error canonically if it is real.
-		support, _ := headSupport(inst, d)
-		for g := range support {
+		for g := range support[i] {
 			di.witnessDeps[g] = append(di.witnessDeps[g], i)
 		}
 	}
 	return di
 }
 
-// violationInfos computes each root violation's interaction signature.
-func violationInfos(inst *relation.Instance, deps []*constraint.Dependency, vios []constraint.Violation, fixed map[string]bool) []vioInfo {
-	return violationInfosWith(inst, deps, vios, fixed, newDepInteraction(inst, deps))
-}
-
-// violationInfosWith is violationInfos over a caller-supplied
-// interaction context (which must be current for inst).
-func violationInfosWith(inst *relation.Instance, deps []*constraint.Dependency, vios []constraint.Violation, fixed map[string]bool, ctx *depInteraction) []vioInfo {
+// violationInfos computes each root violation's interaction signature
+// over an interaction context current for inst.
+func violationInfos(inst *relation.Instance, deps []*constraint.Dependency, vios []constraint.Violation, fixed map[string]bool, ctx *depInteraction) []vioInfo {
 	witnessDeps, exHeadDeps, bodyPreds := ctx.witnessDeps, ctx.exHeadDeps, ctx.bodyPreds
 	infos := make([]vioInfo, len(vios))
 	for i, v := range vios {
@@ -392,6 +509,21 @@ func violationInfosWith(inst *relation.Instance, deps []*constraint.Dependency, 
 		infos[i] = inf
 	}
 	return infos
+}
+
+// headSupports computes headSupport for every full TGD of deps (nil
+// for the other dependencies).
+func headSupports(inst *relation.Instance, deps []*constraint.Dependency) ([]map[string]int, error) {
+	support := make([]map[string]int, len(deps))
+	for i, d := range deps {
+		if d.IsFullTGD() {
+			var err error
+			if support[i], err = headSupport(inst, d); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return support, nil
 }
 
 // headSupport counts, for every fact a head atom of the full TGD

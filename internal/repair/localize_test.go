@@ -221,70 +221,164 @@ func TestLocalizedDomainDependentFallsBack(t *testing.T) {
 	requireSameRepairs(t, "domain-dependent", in, deps, Options{})
 }
 
-// TestLocalizedConsistentAnswers: the per-component answer path (query
-// touching one component) and the materializing path must both match
-// the global engine's answers.
+// TestLocalizedConsistentAnswers: the engine's answer step, reached
+// through both drivers, must match the global engine's answers. The
+// one-shot driver answers per component or, for a query spanning two
+// components, materializes; the incremental driver answers from a fresh
+// IncrState and from one that has seen a write and its undo, and
+// refuses a query spanning two components.
 func TestLocalizedConsistentAnswers(t *testing.T) {
 	in := mkInst(map[string][]relation.Tuple{
 		"r1": {{"a", "b"}, {"a", "c"}, {"k", "v"}},
 		"r2": {{"x", "u"}, {"x", "w"}, {"m", "n"}},
 	})
 	deps := []*constraint.Dependency{constraint.FD("fd1", "r1"), constraint.FD("fd2", "r2")}
+	untouched := in.Clone()
+	untouched.Insert("r3", relation.Tuple{"p", "q"})
+	consistent := mkInst(map[string][]relation.Tuple{
+		"r1": {{"a", "b"}, {"k", "v"}},
+		"r2": {{"x", "u"}},
+	})
+	guarded := mkInst(map[string][]relation.Tuple{
+		"fx": {{"a", "b"}, {"a", "c"}}, // a conflict on a fixed relation: no repair
+		"r1": {{"k", "u"}, {"k", "v"}, {"j", "w"}},
+	})
+	guardDeps := []*constraint.Dependency{constraint.FD("fdfx", "fx"), constraint.FD("fd1", "r1")}
+	xy := []string{"X", "Y"}
 	for _, tc := range []struct {
 		query string
 		vars  []string
+		inst  *relation.Instance
+		deps  []*constraint.Dependency
+		fixed map[string]bool
+		spans bool // the incremental driver must refuse
 	}{
-		{"r1(X,Y)", []string{"X", "Y"}},                // touches one component
-		{"r2(X,Y)", []string{"X", "Y"}},                // the other component
-		{"r1(X,Y) & r2(X,Z)", []string{"X", "Y", "Z"}}, // spans both: materializes
+		{"r1(X,Y)", xy, in, deps, nil, false},                                   // touches one component
+		{"r2(X,Y)", xy, in, deps, nil, false},                                   // the other component
+		{"r1(X,Y) | r2(X,Y)", xy, in, deps, nil, true},                          // spans both, answers differ per component
+		{"r1(X,Y) & r2(X,Z)", []string{"X", "Y", "Z"}, in, deps, nil, true},     // spans both: materializes
+		{"r3(X,Y)", xy, untouched, deps, nil, false},                            // no component touched
+		{"r1(X,Y)", xy, guarded, guardDeps, map[string]bool{"fx": true}, false}, // a component without repairs
+		{"r1(X,Y)", xy, consistent, deps, nil, false},                           // no violations
 	} {
 		q := foquery.MustParse(tc.query)
-		want, wantErr := ConsistentAnswers(in.Clone(), deps, q, tc.vars, Options{NoLocalize: true})
-		got, gotErr := ConsistentAnswers(in.Clone(), deps, q, tc.vars, Options{})
+		opt := Options{Fixed: tc.fixed}
+		global := opt
+		global.NoLocalize = true
+		want, wantErr := ConsistentAnswers(tc.inst.Clone(), tc.deps, q, tc.vars, global)
+		got, gotErr := ConsistentAnswers(tc.inst.Clone(), tc.deps, q, tc.vars, opt)
 		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) || !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: answers diverge: global=%v (%v) localized=%v (%v)", tc.query, want, wantErr, got, gotErr)
+		}
+		reps, err := Repairs(tc.inst.Clone(), tc.deps, global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, undo := range []bool{false, true} {
+			name := fmt.Sprintf("%s on %s, after a write and its undo: %v", tc.query, tc.inst, undo)
+			inst := tc.inst.Clone()
+			st, ok := NewIncrState(tc.deps, tc.fixed)
+			if !ok {
+				t.Fatalf("%s: NewIncrState refused", name)
+			}
+			w := journal(inst)
+			if undo {
+				write := relation.Tuple{"a", "undo"}
+				for _, apply := range []func(string, relation.Tuple) bool{inst.Insert, inst.Delete} {
+					if _, _, _, err := st.Answers(inst, w.since(t), q, tc.vars, Options{}); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					apply("r1", write)
+				}
+			}
+			got, noRepairs, ok, err := st.Answers(inst, w.since(t), q, tc.vars, Options{})
+			switch {
+			case err != nil:
+				t.Fatalf("%s: %v", name, err)
+			case tc.spans || !ok:
+				if ok != !tc.spans {
+					t.Fatalf("%s: ok=%v, want %v", name, ok, !tc.spans)
+				}
+			case noRepairs != (len(reps) == 0):
+				t.Fatalf("%s: noRepairs=%v with %d global repairs", name, noRepairs, len(reps))
+			case !reflect.DeepEqual(got, want):
+				t.Fatalf("%s: answers diverge: global=%v incremental=%v", name, want, got)
+			}
 		}
 	}
 }
 
-// TestLocalizedSeededRandom sweeps random scattered instances with a
-// mix of FD conflicts, inclusion imports and satisfied constraints,
+// seededScattered draws a random scattered instance: a mix of FD
+// conflicts, inclusion imports and satisfied constraints, with the
+// inclusion's source fixed half the time.
+func seededScattered(seed int64) (*relation.Instance, []*constraint.Dependency, map[string]bool) {
+	rng := rand.New(rand.NewSource(seed))
+	in := relation.NewInstance()
+	k := 1 + rng.Intn(4)
+	for i := 0; i < k; i++ {
+		in.Insert("r1", relation.Tuple{fmt.Sprintf("c%d", i), "u"})
+		if rng.Intn(2) == 0 {
+			in.Insert("r1", relation.Tuple{fmt.Sprintf("c%d", i), "w"})
+		}
+	}
+	for i := 0; i < rng.Intn(5); i++ {
+		in.Insert("src", relation.Tuple{fmt.Sprintf("s%d", i), "v"})
+		if rng.Intn(2) == 0 {
+			in.Insert("dst", relation.Tuple{fmt.Sprintf("s%d", i), "v"})
+		}
+	}
+	for i := 0; i < rng.Intn(3); i++ {
+		in.Insert("r2", relation.Tuple{fmt.Sprintf("q%d", i), "u"})
+		in.Insert("r2", relation.Tuple{fmt.Sprintf("q%d", i), "w"})
+	}
+	deps := []*constraint.Dependency{
+		constraint.FD("fd1", "r1"),
+		constraint.Inclusion("inc", "src", "dst", 2),
+		constraint.FD("fd2", "r2"),
+	}
+	var fixed map[string]bool
+	if rng.Intn(2) == 0 {
+		fixed = map[string]bool{"src": true}
+	}
+	return in, deps, fixed
+}
+
+// TestLocalizedSeededRandom sweeps random scattered instances,
 // comparing localized and global output (including error values) at
 // several delta bounds.
 func TestLocalizedSeededRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		in := relation.NewInstance()
-		k := 1 + rng.Intn(4)
-		for i := 0; i < k; i++ {
-			in.Insert("r1", relation.Tuple{fmt.Sprintf("c%d", i), "u"})
-			if rng.Intn(2) == 0 {
-				in.Insert("r1", relation.Tuple{fmt.Sprintf("c%d", i), "w"})
-			}
-		}
-		for i := 0; i < rng.Intn(5); i++ {
-			in.Insert("src", relation.Tuple{fmt.Sprintf("s%d", i), "v"})
-			if rng.Intn(2) == 0 {
-				in.Insert("dst", relation.Tuple{fmt.Sprintf("s%d", i), "v"})
-			}
-		}
-		for i := 0; i < rng.Intn(3); i++ {
-			in.Insert("r2", relation.Tuple{fmt.Sprintf("q%d", i), "u"})
-			in.Insert("r2", relation.Tuple{fmt.Sprintf("q%d", i), "w"})
-		}
-		deps := []*constraint.Dependency{
-			constraint.FD("fd1", "r1"),
-			constraint.Inclusion("inc", "src", "dst", 2),
-			constraint.FD("fd2", "r2"),
-		}
-		var fixed map[string]bool
-		if rng.Intn(2) == 0 {
-			fixed = map[string]bool{"src": true}
-		}
+		in, deps, fixed := seededScattered(seed)
 		for _, md := range []int{0, 2, 5} {
 			name := fmt.Sprintf("seed=%d maxdelta=%d fixedsrc=%v", seed, md, fixed != nil)
 			requireSameRepairs(t, name, in, deps, Options{MaxDelta: md, Fixed: fixed})
 		}
+	}
+}
+
+// TestRepairsSortedDistinct: Repairs returns its repairs strictly
+// increasing by canonical key on the localized path and the global
+// path, under MaxDelta and MaxRepairs cuts too, so a caller holding one
+// Repairs result has nothing left to sort or deduplicate.
+func TestRepairsSortedDistinct(t *testing.T) {
+	var stats Stats
+	for seed := int64(0); seed < 25; seed++ {
+		in, deps, fixed := seededScattered(seed)
+		for _, opt := range []Options{{}, {NoLocalize: true}, {MaxDelta: 1}, {MaxDelta: 2}, {MaxRepairs: 1}, {MaxRepairs: 3}} {
+			opt.Fixed, opt.Stats = fixed, &stats
+			reps, err := Repairs(in.Clone(), deps, opt)
+			if err != nil && err != ErrBound {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(reps); i++ {
+				if prev, cur := reps[i-1].Key(), reps[i].Key(); prev >= cur {
+					t.Fatalf("seed %d, %+v: repair %d is not above repair %d:\n%s\n%s", seed, opt, i, i-1, cur, prev)
+				}
+			}
+		}
+	}
+	if searches, localized, _ := stats.Snapshot(); localized == 0 || localized == searches {
+		t.Fatalf("generator too weak: %d of %d searches localized", localized, searches)
 	}
 }
 

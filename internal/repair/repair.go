@@ -208,17 +208,15 @@ const waveChunk = 64
 // byte-identical at every Options.Parallelism level. If inst is
 // already consistent, it is its own unique repair.
 func Repairs(inst *relation.Instance, deps []*constraint.Dependency, opt Options) ([]*relation.Instance, error) {
-	for _, d := range deps {
-		if err := d.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(deps); err != nil {
+		return nil, err
 	}
 	if opt.MaxDelta == 0 {
 		opt.MaxDelta = inst.Size() + 64
 	}
-	if pl, ok := tryLocalize(inst, deps, opt); ok {
-		opt.Stats.record(len(pl.comps))
-		return pl.materialize(opt, true), nil
+	if cf, ok := tryLocalize(inst, deps, opt); ok {
+		opt.Stats.record(len(cf.comps))
+		return cf.materialize(true), nil
 	}
 	opt.Stats.record(-1)
 	return globalRepairs(inst, deps, opt)
@@ -229,8 +227,7 @@ func Repairs(inst *relation.Instance, deps []*constraint.Dependency, opt Options
 // falls back to it whenever localization cannot be proven exact.
 func globalRepairs(inst *relation.Instance, deps []*constraint.Dependency, opt Options) ([]*relation.Instance, error) {
 	min, err := searchRepairs(inst, deps, opt)
-	sortByKey(min, opt.Parallelism)
-	return min, err
+	return SortDistinct(min, opt.Parallelism), err
 }
 
 // searchRepairs runs the global wave search and returns the minimal
@@ -250,13 +247,17 @@ func searchRepairs(inst *relation.Instance, deps []*constraint.Dependency, opt O
 	return min, nil
 }
 
-// sortByKey sorts instances by their canonical key, rendering each key
-// exactly once (Instance.Key walks the whole instance, so a comparator
-// calling it directly would pay that walk O(n log n) times — the
-// dominant cost of returning thousands of composed repairs). The
-// renders fan out over the worker pool; the sort itself is sequential
-// and deterministic.
-func sortByKey(insts []*relation.Instance, parallelism int) {
+// SortDistinct returns the instances in canonical key order
+// (Instance.Key) with duplicate keys dropped, rendering each key exactly
+// once: Instance.Key walks the whole instance, so a comparator calling
+// it directly would pay that walk O(n log n) times — the dominant cost
+// of returning thousands of composed repairs. The renders fan out over
+// up to parallelism workers; the sort itself is sequential and
+// deterministic. Repairs returns its repairs in this order already.
+func SortDistinct(insts []*relation.Instance, parallelism int) []*relation.Instance {
+	if len(insts) < 2 {
+		return insts
+	}
 	keys := make([]string, len(insts))
 	parallel.Run(len(insts), parallel.Workers(parallelism), func(i int) {
 		keys[i] = insts[i].Key()
@@ -266,11 +267,13 @@ func sortByKey(insts []*relation.Instance, parallelism int) {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sorted := make([]*relation.Instance, len(insts))
+	out := make([]*relation.Instance, 0, len(insts))
 	for i, j := range order {
-		sorted[i] = insts[j]
+		if i == 0 || keys[j] != keys[order[i-1]] {
+			out = append(out, insts[j])
+		}
 	}
-	copy(insts, sorted)
+	return out
 }
 
 // run is the wave loop. Admission (frontier pruning) and merging run on

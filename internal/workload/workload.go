@@ -4,8 +4,8 @@
 // data complexity; the number of independent conflicts controls the
 // number of solutions). No real 2004 peer datasets exist, so these
 // generators stand in for the evaluation workloads a systems paper
-// would have used; every benchmark in EXPERIMENTS.md states which
-// generator and parameters it uses.
+// would have used; every benchmark (bench_test.go, cmd/p2pbench) states
+// which generator and parameters it uses.
 package workload
 
 import (
